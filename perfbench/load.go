@@ -36,7 +36,10 @@ func (t *tenantTrack) snapshotFloor() float64 {
 
 // recorder collects one phase's samples. Latencies are in milliseconds.
 type recorder struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// keep is whether per-request samples are kept; a recorder without
+	// them still counts requests and day stretches.
+	keep   bool
 	access []float64
 	alert  []float64
 	status []float64
@@ -60,6 +63,29 @@ type recorder struct {
 // minSegment is the fewest accesses a stretch needs to count as a
 // throughput sample.
 const minSegment = 100
+
+// newRecorder returns a recorder. With keep set it keeps per-request
+// samples, with room for n requests allocated up front: sized before the
+// heap is sampled, the buffers do not make the peak heap grow with the
+// number of requests a run sends.
+func newRecorder(keep bool, n int) *recorder {
+	r := &recorder{keep: keep}
+	if keep {
+		r.access = make([]float64, 0, n)
+		r.alert = make([]float64, 0, n)
+		r.status = make([]float64, 0, n)
+		r.late = make([]float64, 0, n)
+		r.rollStatus = make([]float64, 0, 1024)
+	}
+	r.segments = make([]float64, 0, 1024)
+	return r
+}
+
+// openLoopCap is room for every request an open loop at rate sends in dur,
+// with slack for the schedule restarting after each day's rollover.
+func openLoopCap(rate float64, dur time.Duration) int {
+	return int(1.05*rate*dur.Seconds()) + 1024
+}
 
 // busy is the phase's duration without its rollovers.
 func (r *recorder) busy() time.Duration { return r.elapsed - r.rollovers }
@@ -89,8 +115,8 @@ type runner struct {
 	pos    int // next op within it
 
 	mu      sync.Mutex // guards the cycle accounting below
-	utilSum float64    // Σ MeanOSSPUtility·alerts over closed cycles
-	utilN   int        // Σ alerts over closed cycles
+	utilSum float64    // Σ MeanOSSPUtility·alerts over the first utilDays days' cycles
+	utilN   int        // Σ alerts over the same cycles
 	cycles  int        // closed cycles
 
 	// keepSent, set between phases, makes send record each successful
@@ -159,7 +185,7 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		lat := ms(time.Since(start))
 		if rec != nil {
 			rec.request(err == nil)
-			if err == nil {
+			if err == nil && rec.keep {
 				rec.mu.Lock()
 				rec.status = append(rec.status, lat)
 				rec.mu.Unlock()
@@ -180,9 +206,11 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		r.clock.Store(int64(o.at))
 		start := time.Now()
 		if rec != nil && !due.IsZero() {
-			rec.mu.Lock()
-			rec.late = append(rec.late, ms(start.Sub(due)))
-			rec.mu.Unlock()
+			if rec.keep {
+				rec.mu.Lock()
+				rec.late = append(rec.late, ms(start.Sub(due)))
+				rec.mu.Unlock()
+			}
 			start = due
 		}
 		b, err := r.do(http.MethodPost, "/v1/access", tr.name, body)
@@ -212,9 +240,11 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		if rec != nil {
 			rec.mu.Lock()
 			rec.accesses++
-			rec.access = append(rec.access, lat)
-			if o.alert {
-				rec.alert = append(rec.alert, lat)
+			if rec.keep {
+				rec.access = append(rec.access, lat)
+				if o.alert {
+					rec.alert = append(rec.alert, lat)
+				}
 			}
 			if r.keepSent {
 				r.sentOps = append(r.sentOps, o)
@@ -348,17 +378,38 @@ func (r *runner) warmUp(n int) error {
 	return nil
 }
 
+// finishDays replays the stream in a closed loop, unrecorded except for
+// request counts, until the first n days' cycles have closed, so
+// ossp_utility averages over the same days on every run.
+func (r *runner) finishDays(n int, rec *recorder) error {
+	for r.dayIdx < n {
+		d, err := r.st.day(r.dayIdx)
+		if err != nil {
+			return err
+		}
+		r.pos = pace(r.pos, len(d.ops), maxConnection, 0, time.Now().Add(time.Hour), func(k int, _ time.Time) {
+			r.send(&d.ops[k], rec, time.Time{})
+		})
+		r.rollover(d, rec)
+		r.dayIdx++
+		r.pos = 0
+	}
+	return nil
+}
+
 // rollover ends day d's audit cycle for every tenant it touched: it checks
 // the tenant's status and summary against the client's counts, closes the
 // cycle and opens the next one. Tenants are split over the connections.
+// The cycles of the first utilDays days count towards ossp_utility.
 func (r *runner) rollover(d *day, rec *recorder) {
+	util := d.index < r.w.utilDays
 	var wg sync.WaitGroup
 	for w := 0; w < maxConnection; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(d.touched); i += maxConnection {
-				r.closeCycle(r.tracks[d.touched[i]], rec)
+				r.closeCycle(r.tracks[d.touched[i]], rec, util)
 			}
 		}(w)
 	}
@@ -379,7 +430,7 @@ func tenantBody(name string) string {
 	return `{"tenant":` + strconv.Quote(name) + `}`
 }
 
-func (r *runner) closeCycle(tr *tenantTrack, rec *recorder) {
+func (r *runner) closeCycle(tr *tenantTrack, rec *recorder, util bool) {
 	tr.mu.Lock()
 	c := tr.c
 	tr.mu.Unlock()
@@ -394,9 +445,11 @@ func (r *runner) closeCycle(tr *tenantTrack, rec *recorder) {
 		fail(err)
 		return
 	}
-	rec.mu.Lock()
-	rec.rollStatus = append(rec.rollStatus, lat)
-	rec.mu.Unlock()
+	if rec.keep {
+		rec.mu.Lock()
+		rec.rollStatus = append(rec.rollStatus, lat)
+		rec.mu.Unlock()
+	}
 	var st server.Status
 	if err := json.Unmarshal(b, &st); err != nil {
 		fail(err)
@@ -435,8 +488,10 @@ func (r *runner) closeCycle(tr *tenantTrack, rec *recorder) {
 	}
 	r.mu.Lock()
 	r.cycles++
-	r.utilSum += sum.MeanOSSPUtility * float64(sum.Alerts)
-	r.utilN += sum.Alerts
+	if util {
+		r.utilSum += sum.MeanOSSPUtility * float64(sum.Alerts)
+		r.utilN += sum.Alerts
+	}
 	r.mu.Unlock()
 	tr.mu.Lock()
 	tr.c = cycleCounts{}
@@ -455,8 +510,11 @@ type scraper struct {
 	bytes    []float64
 }
 
-func (r *runner) startScraper() *scraper {
-	s := &scraper{stop: make(chan struct{}), done: make(chan struct{})}
+// startScraper starts scraping, with room for dur's scrapes allocated up
+// front.
+func (r *runner) startScraper(dur time.Duration) *scraper {
+	n := int(dur/r.w.scrapeEvery) + 16
+	s := &scraper{stop: make(chan struct{}), done: make(chan struct{}), ms: make([]float64, 0, n), bytes: make([]float64, 0, n)}
 	go func() {
 		defer close(s.done)
 		t := time.NewTicker(r.w.scrapeEvery)

@@ -198,22 +198,33 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 		return nil, err
 	}
 
+	// Every buffer the load fills is allocated before the heap sampler
+	// starts. The closed loop of an untraced run keeps no per-request
+	// samples: it reports throughput only.
+	var phases []*recorder
+	var open, closed, plain, tracedRec *recorder
+	slice := dur / slices
+	if !traced {
+		open = newRecorder(true, openLoopCap(w.rate, slices*(2*slice/3)))
+		closed = newRecorder(false, 0)
+		phases = []*recorder{open, closed}
+	} else {
+		open = newRecorder(true, openLoopCap(w.rate, dur/3))
+		plain, tracedRec = newRecorder(true, 0), newRecorder(true, 0)
+		phases = []*recorder{open, plain, tracedRec}
+	}
+	scr := r.startScraper(dur)
+	runtime.GC()
 	heap := startHeapSampler()
 	var disk *diskSampler
 	if traced && w.durable {
 		disk = startDiskSampler(st)
 	}
-	scr := r.startScraper()
 	before, fbefore := st.reg.Snapshot(), st.freg.Snapshot()
-	var phases []*recorder
-	var open, closed, plain, tracedRec *recorder
 	if !traced {
 		// The phases alternate in slices, two thirds open loop, so both
 		// sample the machine's speed across the whole run rather than
 		// each over its own stretch of it.
-		open, closed = &recorder{}, &recorder{}
-		phases = []*recorder{open, closed}
-		slice := dur / slices
 		for i := 0; i < slices; i++ {
 			if err := r.phase(open, maxConnection, w.rate, 2*slice/3); err != nil {
 				return nil, err
@@ -223,8 +234,6 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 			}
 		}
 	} else {
-		open, plain, tracedRec = &recorder{}, &recorder{}, &recorder{}
-		phases = []*recorder{open, plain, tracedRec}
 		if err := r.phase(open, maxConnection, w.rate, dur/3); err != nil {
 			return nil, err
 		}
@@ -247,6 +256,13 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 	heapPeak := heap.finish()
 	after, fafter := st.reg.Snapshot(), st.freg.Snapshot()
 
+	if !traced {
+		rest := newRecorder(false, 0)
+		phases = append(phases, rest)
+		if err := r.finishDays(w.utilDays, rest); err != nil {
+			return nil, err
+		}
+	}
 	r.checkOpenCycles()
 	var rec *recovery
 	if w.durable {
@@ -292,6 +308,10 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 		fmt.Printf("  sat_rps: interquartile mean over %d day stretches; whole phase %.1f/s\n",
 			len(closed.segments), float64(closed.accesses)/closed.busy().Seconds())
 		rep.set("ossp_utility", ratio(r.utilSum, float64(r.utilN)), "utility")
+		fmt.Printf("  ossp_utility: over the %d alerts of the first %d days' cycles\n", r.utilN, w.utilDays)
+		hits := counter(after, "sag_engine_cache_hits_total") - counter(before, "sag_engine_cache_hits_total")
+		misses := counter(after, "sag_engine_cache_misses_total") - counter(before, "sag_engine_cache_misses_total")
+		fmt.Printf("  decision cache: %.0f hits in %.0f lookups (hit ratio %.3f)\n", hits, hits+misses, ratio(hits, hits+misses))
 		rep.set("heap_peak_mb", heapPeak, "MiB")
 		rep.setPct("scrape_p50_ms", median(scr.ms), "ms")
 		rep.set("scrape_kb", median(scr.bytes).Value/1024, "KiB")
@@ -306,7 +326,7 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 			open: open, plain: plain, traced: tracedRec, statuses: statuses, scrape: scr, disk: diskStats, rec: rec,
 		})
 	}
-	fmt.Printf("  cycles closed %d, alerts decided in closed cycles %d\n", r.cycles, r.utilN)
+	fmt.Printf("  cycles closed %d over %d days\n", r.cycles, r.dayIdx)
 	rep.print()
 	if n := fail.count(); n > 0 {
 		fmt.Printf("  %d output checks FAILED:\n    %s\n", n, strings.Join(fail.msgs, "\n    "))

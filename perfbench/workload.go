@@ -28,7 +28,6 @@ const (
 	admitRate     = 1e6 // per-tenant req/s, far above the offered load
 	admitInflight = 64  // above the benchmark's connection count: nothing queues
 
-	zipfS         = 1.1
 	hashDays      = 8 // the printed stream hash covers this many days
 	warmupOps     = 200
 	maxConnection = 2    // nproc of the reference machine
@@ -40,17 +39,21 @@ type workload struct {
 	name string
 	// tenants is the number of named tenants (0: the default tenant only).
 	tenants     int
-	zipf        bool    // tenants drawn Zipf-skewed (else uniformly)
+	zipf        bool    // tenants drawn under Zipf's law (else uniformly)
 	statusShare float64 // share of all requests that are GET /v1/status reads
 	durable     bool
 	cache       bool
 	admission   bool
-	// rate is the frozen open-loop request rate, 0.15–0.35 of the
+	// rate is the frozen open-loop request rate, 0.15–0.45 of the
 	// closed-loop saturation rate measured on seed 1.
 	rate float64
 	// scrapeEvery is the /v1/metrics scrape cadence: often where a scrape
 	// is small, so its latency rests on enough samples.
 	scrapeEvery time.Duration
+	// utilDays is how many replay days ossp_utility averages over: the
+	// same days on every run, whatever its throughput. A run replays them
+	// to the end after the timed load when it has not got that far.
+	utilDays int
 }
 
 var workloads = []*workload{
@@ -58,19 +61,20 @@ var workloads = []*workload{
 	// history, game/lp, signaling) does most of the work.
 	{
 		name: "emr-day",
-		rate: 2000, scrapeEvery: 100 * time.Millisecond,
+		rate: 2000, scrapeEvery: 100 * time.Millisecond, utilDays: 40,
 	},
 	// 8 tenants with fsync=always, snapshots, segment rolls and a live
 	// follower: journaling dominates each access.
 	{
 		name:    "durable-standby",
-		tenants: 8, durable: true, rate: 900, scrapeEvery: 100 * time.Millisecond,
+		tenants: 8, durable: true, rate: 900, scrapeEvery: 100 * time.Millisecond, utilDays: 16,
 	},
-	// 1000 Zipf-skewed tenants with the cache on, 10% status reads and
-	// metric scrapes: obs cardinality and shard lookup dominate.
+	// 1000 tenants under Zipf's law with the cache on, 10% status reads
+	// and metric scrapes: obs cardinality and shard lookup dominate.
 	{
 		name:    "tenant-fanout",
 		tenants: 1000, zipf: true, statusShare: 0.10, cache: true, admission: true, rate: 1500, scrapeEvery: 2 * time.Second,
+		utilDays: 16,
 	},
 }
 
@@ -129,7 +133,12 @@ type stream struct {
 	gen   *emr.Generator
 	det   *alerts.Engine
 	names []string // track index → tenant ID ("" = default tenant)
-	days  []*day
+	zipf  []float64
+	// hashed keeps the first hashDays days; of the later ones only the
+	// latest is kept, so the stream's memory does not grow with the
+	// number of days a run replays.
+	hashed []*day
+	last   *day
 }
 
 func newStream(w *workload, seed int64, gen *emr.Generator, det *alerts.Engine) *stream {
@@ -139,19 +148,48 @@ func newStream(w *workload, seed int64, gen *emr.Generator, det *alerts.Engine) 
 	} else {
 		s.names = w.tenantIDs()
 	}
+	if w.zipf {
+		s.zipf = zipfCDF(len(s.names))
+	}
 	return s
 }
 
-// day returns replay day d, generating it on first use.
+// zipfCDF is the cumulative distribution of Zipf's law in its original
+// form over n ranks: rank k (from 0) draws a share proportional to 1/(k+1).
+func zipfCDF(n int) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for k := range cdf {
+		sum += 1 / float64(k+1)
+		cdf[k] = sum
+	}
+	for k := range cdf {
+		cdf[k] /= sum
+	}
+	return cdf
+}
+
+// day returns replay day d. Days are generated on demand and are the same
+// however often they are.
 func (s *stream) day(d int) (*day, error) {
-	for len(s.days) <= d {
-		next, err := s.generate(len(s.days))
+	if d < hashDays {
+		for len(s.hashed) <= d {
+			next, err := s.generate(len(s.hashed))
+			if err != nil {
+				return nil, err
+			}
+			s.hashed = append(s.hashed, next)
+		}
+		return s.hashed[d], nil
+	}
+	if s.last == nil || s.last.index != d {
+		next, err := s.generate(d)
 		if err != nil {
 			return nil, err
 		}
-		s.days = append(s.days, next)
+		s.last = next
 	}
-	return s.days[d], nil
+	return s.last, nil
 }
 
 func (s *stream) generate(d int) (*day, error) {
@@ -160,8 +198,9 @@ func (s *stream) generate(d int) (*day, error) {
 	pick := func() int32 { return 0 }
 	switch {
 	case s.w.zipf:
-		z := rand.NewZipf(rng, zipfS, 1, uint64(len(s.names)-1))
-		pick = func() int32 { return int32(z.Uint64()) }
+		pick = func() int32 {
+			return int32(min(sort.SearchFloat64s(s.zipf, rng.Float64()), len(s.zipf)-1))
+		}
 	case len(s.names) > 1:
 		pick = func() int32 { return int32(rng.Intn(len(s.names))) }
 	}

@@ -64,3 +64,43 @@ func TestStreamShape(t *testing.T) {
 		}
 	}
 }
+
+func TestZipfCDFFollowsOneOverRank(t *testing.T) {
+	cdf := zipfCDF(1000)
+	if got := cdf[len(cdf)-1]; got < 1-1e-12 || got > 1+1e-12 {
+		t.Fatalf("cdf ends at %v, want 1", got)
+	}
+	// Rank 0 draws twice the share of rank 1 and ten times that of rank 9.
+	p0, p1, p9 := cdf[0], cdf[1]-cdf[0], cdf[9]-cdf[8]
+	if r := p0 / p1; r < 2-1e-9 || r > 2+1e-9 {
+		t.Errorf("rank 0 / rank 1 share = %v, want 2", r)
+	}
+	if r := p0 / p9; r < 10-1e-9 || r > 10+1e-9 {
+		t.Errorf("rank 0 / rank 9 share = %v, want 10", r)
+	}
+}
+
+func TestStreamKeepsOnlyHashedAndLatestDays(t *testing.T) {
+	e, err := buildEnv(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStream(workloads[0], 3, e.gen, e.det)
+	first, err := s.day(hashDays + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.day(hashDays + 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.hashed) != 0 || s.last.index != hashDays+2 {
+		t.Fatalf("stream kept %d hashed days and day %d", len(s.hashed), s.last.index)
+	}
+	again, err := s.day(hashDays + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.ops) != len(first.ops) || again.ops[len(again.ops)-1] != first.ops[len(first.ops)-1] {
+		t.Error("a regenerated day differs from its first generation")
+	}
+}
