@@ -22,7 +22,6 @@ type layerInput struct {
 	open            *recorder    // open loop, untraced
 	plain           *recorder    // one connection, closed loop, untraced
 	traced          *recorder    // the same, traced
-	statuses        []float64    // status read latencies, as the untraced run reports them
 	scrape          *scraper
 	disk            diskResult
 	rec             *recovery
@@ -37,8 +36,8 @@ func layerMetrics(rep *report, w *workload, st *stack, tr *tracer, r *runner, in
 	// without spans.
 	plainRPS := float64(in.plain.accesses) / in.plain.busy().Seconds()
 	tracedRPS := float64(in.traced.accesses) / in.traced.busy().Seconds()
-	pp, tp := median(in.plain.access), median(in.traced.access)
-	pa, ta := median(in.plain.alert), median(in.traced.alert)
+	pp, tp := in.plain.access.pct(0.5), in.traced.access.pct(0.5)
+	pa, ta := in.plain.alert.pct(0.5), in.traced.alert.pct(0.5)
 	fmt.Printf("  one connection, closed loop   untraced | traced\n")
 	fmt.Printf("    access_p50_ms               %8.4f | %8.4f\n", pp.Value, tp.Value)
 	fmt.Printf("    alert_p50_ms                %8.4f | %8.4f\n", pa.Value, ta.Value)
@@ -150,14 +149,14 @@ func layerMetrics(rep *report, w *workload, st *stack, tr *tracer, r *runner, in
 	rep.set("obs.bytes_per_tenant", median(in.scrape.bytes).Value/tenants, "bytes")
 	rep.setPct("obs.scrape_ms_p50", median(timeScrapes(st.reg, 11)), "ms")
 
-	rep.setPct("load.access_p99_ms", blocked(in.open.access, 0.99), "ms")
-	rep.setPct("load.alert_p99_ms", blocked(in.open.alert, 0.99), "ms")
-	rep.setPct("load.status_p50_ms", blocked(in.statuses, 0.5), "ms")
-	rep.setPct("load.status_p99_ms", blocked(in.statuses, 0.99), "ms")
+	rep.setPct("load.access_p99_ms", in.open.access.pct(0.99), "ms")
+	rep.setPct("load.alert_p99_ms", in.open.alert.pct(0.99), "ms")
+	rep.setPct("load.status_p50_ms", in.open.statuses().pct(0.5), "ms")
+	rep.setPct("load.status_p99_ms", in.open.statuses().pct(0.99), "ms")
 	rep.set("load.sent", float64(in.open.sent), "count")
 	rep.set("load.ok", float64(in.open.ok), "count")
 	rep.set("load.failed", float64(in.open.sent-in.open.ok), "count")
-	rep.setPct("load.late_ms_p99", tail(in.open.late, 0.99), "ms")
+	rep.setPct("load.late_ms_p99", in.open.late.pct(0.99), "ms")
 }
 
 // typedTheta is one traced decision's alert type and served coverage.

@@ -34,19 +34,18 @@ func (t *tenantTrack) snapshotFloor() float64 {
 	return t.floor
 }
 
-// recorder collects one phase's samples. Latencies are in milliseconds.
+// recorder collects one phase's samples. Latencies are in milliseconds,
+// kept as blocked percentiles, so a recorder's memory does not grow with
+// the number of requests a run sends.
 type recorder struct {
-	mu sync.Mutex
-	// keep is whether per-request samples are kept; a recorder without
-	// them still counts requests and day stretches.
-	keep   bool
-	access []float64
-	alert  []float64
-	status []float64
-	late   []float64
+	mu     sync.Mutex
+	access *blocks
+	alert  *blocks
+	status *blocks
+	late   *blocks
 	// rollStatus holds the status reads of cycle rollovers, which run with
 	// no accesses in flight.
-	rollStatus []float64
+	rollStatus *blocks
 	sent       int
 	ok         int
 	accesses   int // successful accesses
@@ -64,27 +63,20 @@ type recorder struct {
 // throughput sample.
 const minSegment = 100
 
-// newRecorder returns a recorder. With keep set it keeps per-request
-// samples, with room for n requests allocated up front: sized before the
-// heap is sampled, the buffers do not make the peak heap grow with the
-// number of requests a run sends.
-func newRecorder(keep bool, n int) *recorder {
-	r := &recorder{keep: keep}
-	if keep {
-		r.access = make([]float64, 0, n)
-		r.alert = make([]float64, 0, n)
-		r.status = make([]float64, 0, n)
-		r.late = make([]float64, 0, n)
-		r.rollStatus = make([]float64, 0, 1024)
+func newRecorder() *recorder {
+	return &recorder{
+		access: newBlocks(), alert: newBlocks(), status: newBlocks(), late: newBlocks(), rollStatus: newBlocks(),
+		segments: make([]float64, 0, 1024),
 	}
-	r.segments = make([]float64, 0, 1024)
-	return r
 }
 
-// openLoopCap is room for every request an open loop at rate sends in dur,
-// with slack for the schedule restarting after each day's rollover.
-func openLoopCap(rate float64, dur time.Duration) int {
-	return int(1.05*rate*dur.Seconds()) + 1024
+// statuses is the recorder's status reads: the stream's own, next to the
+// accesses, or for a workload without them its rollovers' reads.
+func (r *recorder) statuses() *blocks {
+	if r.status.full == 0 && len(r.status.cur) == 0 {
+		return r.rollStatus
+	}
+	return r.status
 }
 
 // busy is the phase's duration without its rollovers.
@@ -185,9 +177,9 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		lat := ms(time.Since(start))
 		if rec != nil {
 			rec.request(err == nil)
-			if err == nil && rec.keep {
+			if err == nil {
 				rec.mu.Lock()
-				rec.status = append(rec.status, lat)
+				rec.status.add(lat)
 				rec.mu.Unlock()
 			}
 		}
@@ -206,11 +198,9 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		r.clock.Store(int64(o.at))
 		start := time.Now()
 		if rec != nil && !due.IsZero() {
-			if rec.keep {
-				rec.mu.Lock()
-				rec.late = append(rec.late, ms(start.Sub(due)))
-				rec.mu.Unlock()
-			}
+			rec.mu.Lock()
+			rec.late.add(ms(start.Sub(due)))
+			rec.mu.Unlock()
 			start = due
 		}
 		b, err := r.do(http.MethodPost, "/v1/access", tr.name, body)
@@ -240,11 +230,9 @@ func (r *runner) send(o *op, rec *recorder, due time.Time) {
 		if rec != nil {
 			rec.mu.Lock()
 			rec.accesses++
-			if rec.keep {
-				rec.access = append(rec.access, lat)
-				if o.alert {
-					rec.alert = append(rec.alert, lat)
-				}
+			rec.access.add(lat)
+			if o.alert {
+				rec.alert.add(lat)
 			}
 			if r.keepSent {
 				r.sentOps = append(r.sentOps, o)
@@ -445,11 +433,9 @@ func (r *runner) closeCycle(tr *tenantTrack, rec *recorder, util bool) {
 		fail(err)
 		return
 	}
-	if rec.keep {
-		rec.mu.Lock()
-		rec.rollStatus = append(rec.rollStatus, lat)
-		rec.mu.Unlock()
-	}
+	rec.mu.Lock()
+	rec.rollStatus.add(lat)
+	rec.mu.Unlock()
 	var st server.Status
 	if err := json.Unmarshal(b, &st); err != nil {
 		fail(err)
@@ -499,22 +485,29 @@ func (r *runner) closeCycle(tr *tenantTrack, rec *recorder, util bool) {
 	tr.mu.Unlock()
 }
 
-// scraper fetches /v1/metrics at the workload's cadence until stopped, through the
-// same connections as the load.
+// scraper fetches /v1/metrics at the workload's cadence while on, until
+// stopped, through the same connections as the load; quiet adds scrapes
+// taken back to back with nothing else in flight.
 type scraper struct {
+	r        *runner
+	on       atomic.Bool
 	stop     chan struct{}
 	done     chan struct{}
 	mu       sync.Mutex
 	attempts int
-	ms       []float64
-	bytes    []float64
+	ok       int
+	ms       []float64 // scrapes beside the load
+	quietMs  []float64 // scrapes with nothing else in flight
+	bytes    []float64 // sizes of all scrapes
 }
 
-// startScraper starts scraping, with room for dur's scrapes allocated up
-// front.
+// startScraper starts the scraper, switched off, with room for dur's
+// scrapes allocated up front.
 func (r *runner) startScraper(dur time.Duration) *scraper {
 	n := int(dur/r.w.scrapeEvery) + 16
-	s := &scraper{stop: make(chan struct{}), done: make(chan struct{}), ms: make([]float64, 0, n), bytes: make([]float64, 0, n)}
+	q := slices*r.w.quietScrapes + 16
+	s := &scraper{r: r, stop: make(chan struct{}), done: make(chan struct{}),
+		ms: make([]float64, 0, n), quietMs: make([]float64, 0, q), bytes: make([]float64, 0, n+q)}
 	go func() {
 		defer close(s.done)
 		t := time.NewTicker(r.w.scrapeEvery)
@@ -525,22 +518,39 @@ func (r *runner) startScraper(dur time.Duration) *scraper {
 				return
 			case <-t.C:
 			}
-			s.mu.Lock()
-			s.attempts++
-			s.mu.Unlock()
-			t0 := time.Now()
-			b, err := r.do(http.MethodGet, "/v1/metrics", "", nil)
-			if err != nil {
-				r.fail.add(fmt.Errorf("scrape: %w", err))
-				continue
+			if s.on.Load() {
+				s.scrape(&s.ms)
 			}
-			s.mu.Lock()
-			s.ms = append(s.ms, ms(time.Since(t0)))
-			s.bytes = append(s.bytes, float64(len(b)))
-			s.mu.Unlock()
 		}
 	}()
 	return s
+}
+
+// scrape fetches /v1/metrics once and records its time into *into.
+func (s *scraper) scrape(into *[]float64) {
+	s.mu.Lock()
+	s.attempts++
+	s.mu.Unlock()
+	t0 := time.Now()
+	b, err := s.r.do(http.MethodGet, "/v1/metrics", "", nil)
+	if err != nil {
+		s.r.fail.add(fmt.Errorf("scrape: %w", err))
+		return
+	}
+	el := ms(time.Since(t0))
+	s.mu.Lock()
+	s.ok++
+	*into = append(*into, el)
+	s.bytes = append(s.bytes, float64(len(b)))
+	s.mu.Unlock()
+}
+
+// quiet scrapes n times back to back; the caller makes sure nothing else
+// is in flight.
+func (s *scraper) quiet(n int) {
+	for i := 0; i < n; i++ {
+		s.scrape(&s.quietMs)
+	}
 }
 
 func (s *scraper) finish() {

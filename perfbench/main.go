@@ -15,16 +15,18 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
-// setupReps is how many times a run builds its stack; setup_s is the
-// median and the last build serves the load.
-const setupReps = 7
+// setupsBefore is how many times a run builds its stack before the load;
+// the last build serves it. An untraced run builds one more after each
+// slice of the load, and setup_s is the median of all of them.
+const setupsBefore = 3
 
-// slices is how many open-loop/closed-loop pairs an untraced run
-// alternates between.
-const slices = 4
+// slices is how many rounds of its three phases (open loop, one-connection
+// closed loop, saturating closed loop) an untraced run alternates through.
+const slices = 8
 
 // holdoutSalt moves -holdout-seed streams into their own seed space, so a
 // holdout input can never coincide with a tuning seed's.
@@ -91,8 +93,9 @@ func run() int {
 	return 0
 }
 
-// heapSampler records the peak live heap while the load runs.
+// heapSampler records the peak live heap while the load runs and it is on.
 type heapSampler struct {
+	on   atomic.Bool
 	stop chan struct{}
 	done chan struct{}
 	peak uint64
@@ -100,15 +103,18 @@ type heapSampler struct {
 
 func startHeapSampler() *heapSampler {
 	h := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
+	h.on.Store(true)
 	go func() {
 		defer close(h.done)
 		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 		t := time.NewTicker(20 * time.Millisecond)
 		defer t.Stop()
 		for {
-			metrics.Read(s)
-			if v := s[0].Value.Uint64(); v > h.peak {
-				h.peak = v
+			if h.on.Load() {
+				metrics.Read(s)
+				if v := s[0].Value.Uint64(); v > h.peak {
+					h.peak = v
+				}
 			}
 			select {
 			case <-h.stop:
@@ -168,21 +174,30 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 		tr = newTracer()
 	}
 	var setups []float64
-	var st *stack
-	for i := 0; i < setupReps; i++ {
+	// timeSetUp builds a stack, times it and tears it down.
+	timeSetUp := func() error {
 		runtime.GC() // the previous build's garbage is not this one's cost
 		t0 := time.Now()
-		s, err := setUp(w, seed, filepath.Join(dir, fmt.Sprint(i)), tr)
+		s, err := setUp(w, seed, filepath.Join(dir, fmt.Sprint(len(setups))), tr)
 		if err != nil {
-			return nil, fmt.Errorf("set-up: %w", err)
+			return fmt.Errorf("set-up: %w", err)
 		}
 		setups = append(setups, time.Since(t0).Seconds())
-		if i < setupReps-1 {
-			s.tearDown()
-		} else {
-			st = s
+		s.tearDown()
+		return nil
+	}
+	for i := 1; i < setupsBefore; i++ {
+		if err := timeSetUp(); err != nil {
+			return nil, err
 		}
 	}
+	runtime.GC()
+	t0 := time.Now()
+	st, err := setUp(w, seed, filepath.Join(dir, "serving"), tr)
+	if err != nil {
+		return nil, fmt.Errorf("set-up: %w", err)
+	}
+	setups = append(setups, time.Since(t0).Seconds())
 	defer st.tearDown()
 	runtime.GC()
 
@@ -199,18 +214,16 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 	}
 
 	// Every buffer the load fills is allocated before the heap sampler
-	// starts. The closed loop of an untraced run keeps no per-request
-	// samples: it reports throughput only.
+	// starts, and none grows with the number of requests sent.
 	var phases []*recorder
-	var open, closed, plain, tracedRec *recorder
+	var open, lat, closed, plain, tracedRec *recorder
 	slice := dur / slices
+	openDur, latDur := slice/5, 2*slice/5
 	if !traced {
-		open = newRecorder(true, openLoopCap(w.rate, slices*(2*slice/3)))
-		closed = newRecorder(false, 0)
-		phases = []*recorder{open, closed}
+		open, lat, closed = newRecorder(), newRecorder(), newRecorder()
+		phases = []*recorder{open, lat, closed}
 	} else {
-		open = newRecorder(true, openLoopCap(w.rate, dur/3))
-		plain, tracedRec = newRecorder(true, 0), newRecorder(true, 0)
+		open, plain, tracedRec = newRecorder(), newRecorder(), newRecorder()
 		phases = []*recorder{open, plain, tracedRec}
 	}
 	scr := r.startScraper(dur)
@@ -222,18 +235,41 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 	}
 	before, fbefore := st.reg.Snapshot(), st.freg.Snapshot()
 	if !traced {
-		// The phases alternate in slices, two thirds open loop, so both
-		// sample the machine's speed across the whole run rather than
-		// each over its own stretch of it.
+		// The phases alternate in slices, so each samples the machine's
+		// speed across the whole run rather than over its own stretch of
+		// it. Latency is timed on one connection in a closed loop: nothing
+		// queues, so a slow stretch of the host slows the requests it
+		// covers and no more. The open loop's backlog after a stall, and
+		// so its latency, swings with the host from run to run; it is
+		// printed, not gated. Scrapes run beside the one-connection loop,
+		// so at most two requests are in flight on the two cores.
 		for i := 0; i < slices; i++ {
-			if err := r.phase(open, maxConnection, w.rate, 2*slice/3); err != nil {
+			if err := r.phase(open, maxConnection, w.rate, openDur); err != nil {
 				return nil, err
 			}
-			if err := r.phase(closed, maxConnection, 0, slice-2*slice/3); err != nil {
+			scr.on.Store(true)
+			if err := r.phase(lat, 1, 0, latDur); err != nil {
 				return nil, err
 			}
+			scr.on.Store(false)
+			if err := r.phase(closed, maxConnection, 0, slice-openDur-latDur); err != nil {
+				return nil, err
+			}
+			// Between slices, with the heap sampler paused, one more
+			// set-up, so setup_s too samples the machine across the run,
+			// and the quiet scrapes, after the set-up's garbage is
+			// collected so that they do not pay for it.
+			heap.on.Store(false)
+			if err := timeSetUp(); err != nil {
+				return nil, err
+			}
+			runtime.GC()
+			scr.quiet(w.quietScrapes)
+			runtime.GC()
+			heap.on.Store(true)
 		}
 	} else {
+		scr.on.Store(true)
 		if err := r.phase(open, maxConnection, w.rate, dur/3); err != nil {
 			return nil, err
 		}
@@ -257,7 +293,7 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 	after, fafter := st.reg.Snapshot(), st.freg.Snapshot()
 
 	if !traced {
-		rest := newRecorder(false, 0)
+		rest := newRecorder()
 		phases = append(phases, rest)
 		if err := r.finishDays(w.utilDays, rest); err != nil {
 			return nil, err
@@ -278,32 +314,21 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 		res.Failed += p.sent - p.ok
 	}
 	res.Attempted += scr.attempts
-	res.Failed += scr.attempts - len(scr.ms)
-	// Status latency is that of the stream's reads, taken next to the
-	// accesses; a workload without them reports its rollovers' reads.
-	var statuses []float64
-	for _, p := range phases {
-		statuses = append(statuses, p.status...)
-	}
-	if len(statuses) == 0 {
-		for _, p := range phases {
-			statuses = append(statuses, p.rollStatus...)
-		}
-	}
+	res.Failed += scr.attempts - scr.ok
 	if rec != nil {
 		fmt.Printf("  recovery: reopen %.4f s; standby mirror replayed %d records in %.4f s\n", rec.reopen, rec.replayed, rec.mirror)
 	}
 	if !traced {
 		rep.set("setup_s", median(setups).Value, "s")
 		fmt.Printf("  setup_s runs: %v\n", setups)
-		rep.setPct("access_p50_ms", blocked(open.access, 0.5), "ms")
-		rep.setPct("alert_p50_ms", blocked(open.alert, 0.5), "ms")
+		rep.setPct("access_p50_ms", lat.access.pct(0.5), "ms")
+		rep.setPct("alert_p50_ms", lat.alert.pct(0.5), "ms")
 		// The tails and the status reads are printed, not gated: on
-		// durable-standby the tails follow the shared host disk's fsync
-		// stalls and swing 3× between runs, and the sub-0.2 ms status reads
-		// swing with the host's wake-up latency.
-		printPct("access_p99_ms", blocked(open.access, 0.99), "ms")
-		printPct("alert_p99_ms", blocked(open.alert, 0.99), "ms")
+		// durable-standby the tails follow the shared host disk's stalls,
+		// and the sub-0.2 ms status reads swing with the host's wake-up
+		// latency.
+		printPct("access_p99_ms", lat.access.pct(0.99), "ms")
+		printPct("alert_p99_ms", lat.alert.pct(0.99), "ms")
 		rep.set("sat_rps", midMean(closed.segments), "1/s")
 		fmt.Printf("  sat_rps: interquartile mean over %d day stretches; whole phase %.1f/s\n",
 			len(closed.segments), float64(closed.accesses)/closed.busy().Seconds())
@@ -313,17 +338,20 @@ func measure(w *workload, seed int64, dur time.Duration, traced bool, dir string
 		misses := counter(after, "sag_engine_cache_misses_total") - counter(before, "sag_engine_cache_misses_total")
 		fmt.Printf("  decision cache: %.0f hits in %.0f lookups (hit ratio %.3f)\n", hits, hits+misses, ratio(hits, hits+misses))
 		rep.set("heap_peak_mb", heapPeak, "MiB")
-		rep.setPct("scrape_p50_ms", median(scr.ms), "ms")
+		rep.setPct("scrape_p50_ms", median(scr.quietMs), "ms")
 		rep.set("scrape_kb", median(scr.bytes).Value/1024, "KiB")
-		printPct("status_p50_ms", blocked(statuses, 0.5), "ms")
-		printPct("status_p99_ms", blocked(statuses, 0.99), "ms")
-		late := tail(open.late, 0.99)
-		fmt.Printf("  open loop at %g req/s: %d sent, generator late %.4f ms (%s), p50 %.4f ms\n",
-			w.rate, open.sent, late.Value, late, median(open.late).Value)
+		printPct("busy_scrape_p50_ms", median(scr.ms), "ms")
+		printPct("status_p50_ms", lat.statuses().pct(0.5), "ms")
+		printPct("status_p99_ms", lat.statuses().pct(0.99), "ms")
+		fmt.Printf("  open loop at %g req/s, %d sent, generator late %.4f ms (%s):\n", w.rate, open.sent, open.late.pct(0.99).Value, open.late.pct(0.99))
+		printPct("open_access_p50_ms", open.access.pct(0.5), "ms")
+		printPct("open_access_p99_ms", open.access.pct(0.99), "ms")
+		printPct("open_alert_p50_ms", open.alert.pct(0.5), "ms")
+		printPct("open_alert_p99_ms", open.alert.pct(0.99), "ms")
 	} else {
 		layerMetrics(rep, w, st, tr, r, layerInput{
 			before: before, after: after, fbefore: fbefore, fafter: fafter,
-			open: open, plain: plain, traced: tracedRec, statuses: statuses, scrape: scr, disk: diskStats, rec: rec,
+			open: open, plain: plain, traced: tracedRec, scrape: scr, disk: diskStats, rec: rec,
 		})
 	}
 	fmt.Printf("  cycles closed %d over %d days\n", r.cycles, r.dayIdx)

@@ -74,26 +74,59 @@ func tail(samples []float64, want float64) pct {
 // percentile holds: enough for a p99 with minBeyond samples beyond it.
 const blockSize = 100 * minBeyond
 
-// blocked splits samples, in the order they were taken, into consecutive
-// blocks of blockSize, takes tail(block, want) of each and reports the
-// interquartile mean over the blocks. A burst that slows a few blocks moves
-// it little, where it would dominate one percentile over the whole run; and
-// where the machine's speed drifts between states over a run, the mean
-// moves smoothly with the time spent in each, where a median would jump
-// from one state to the other. With fewer samples than one block it is
-// tail of all of them.
-func blocked(samples []float64, want float64) pct {
-	n := len(samples) / blockSize
-	if n == 0 {
-		return tail(samples, want)
+// blockQs are the quantiles blocks keeps of each full block.
+var blockQs = [...]float64{0.5, 0.99}
+
+// blocks computes blocked percentiles as samples arrive. It splits the
+// samples, in the order they are taken, into consecutive blocks of
+// blockSize and keeps only the block being filled and each full block's
+// p50 and p99, so its memory does not grow with the number of samples.
+//
+// A blocked percentile is the interquartile mean over the blocks of each
+// block's percentile. A burst that slows a few blocks moves it little,
+// where it would dominate one percentile over the whole run; and where the
+// machine's speed drifts between states over a run, the mean moves
+// smoothly with the time spent in each, where a median would jump from one
+// state to the other.
+type blocks struct {
+	cur  []float64
+	full int
+	per  [len(blockQs)][]float64
+}
+
+func newBlocks() *blocks {
+	b := &blocks{cur: make([]float64, 0, blockSize)}
+	for i := range b.per {
+		b.per[i] = make([]float64, 0, 1024)
 	}
-	per := make([]float64, n)
-	var q float64
-	for i := range per {
-		p := tail(samples[i*blockSize:(i+1)*blockSize], want)
-		per[i], q = p.Value, p.Q
+	return b
+}
+
+func (b *blocks) add(x float64) {
+	b.cur = append(b.cur, x)
+	if len(b.cur) < blockSize {
+		return
 	}
-	return pct{Q: q, Value: midMean(per), N: n * blockSize, Blocks: n}
+	sort.Float64s(b.cur)
+	for i, q := range blockQs {
+		b.per[i] = append(b.per[i], rank(b.cur, q))
+	}
+	b.full++
+	b.cur = b.cur[:0]
+}
+
+// pct reports the blocked want-quantile, want one of blockQs. Before the
+// first block is full it is tail of the samples taken so far.
+func (b *blocks) pct(want float64) pct {
+	if b.full == 0 {
+		return tail(b.cur, want)
+	}
+	for i, q := range blockQs {
+		if q == want {
+			return pct{Q: q, Value: midMean(b.per[i]), N: b.full * blockSize, Blocks: b.full}
+		}
+	}
+	panic(fmt.Sprintf("blocks keep no p%g", 100*want))
 }
 
 // midMean is the interquartile mean: the mean of the middle half of xs

@@ -61,20 +61,27 @@ func TestBlockedAndMidMean(t *testing.T) {
 		t.Errorf("midMean of two = %g, want their mean", got)
 	}
 	// Three blocks of 1000: the p99 of each block is its 990th value.
-	var xs []float64
+	bs := newBlocks()
 	for b := 0; b < 3; b++ {
-		for i := 1; i <= blockSize; i++ {
-			xs = append(xs, float64(i+b*10))
+		for i := blockSize; i >= 1; i-- {
+			bs.add(float64(i + b*10))
 		}
 	}
-	p := blocked(xs, 0.99)
+	p := bs.pct(0.99)
 	if p.Blocks != 3 || p.N != 3*blockSize || p.Q != 0.99 {
 		t.Fatalf("blocked: %+v", p)
 	}
 	if p.Value != 1000 { // mean of 990, 1000, 1010
 		t.Errorf("blocked p99 = %g, want 1000", p.Value)
 	}
-	if small := blocked(seq(50), 0.99); small.Blocks != 0 || small.N != 50 {
+	if p := bs.pct(0.5); p.Value != 510 || p.Blocks != 3 { // mean of 500, 510, 520
+		t.Errorf("blocked p50: %+v, want 510 over 3 blocks", p)
+	}
+	small := newBlocks()
+	for _, x := range seq(50) {
+		small.add(x)
+	}
+	if small := small.pct(0.99); small.Blocks != 0 || small.N != 50 {
 		t.Errorf("fewer samples than a block: %+v", small)
 	}
 }
