@@ -114,8 +114,8 @@ func newBenchServerHandlerMod(b *testing.B, cache sag.CacheConfig, solve sag.SSE
 }
 
 // accessBodies pre-encodes one request per planted relation kind so the
-// benchmark exercises all seven alert types (distinct decision states — no
-// single-flight coalescing) without JSON encoding on the hot path.
+// benchmark exercises all seven alert types (distinct decision states)
+// without JSON encoding on the hot path.
 func accessBodies(bgE, bgP int) [][]byte {
 	bodies := make([][]byte, 7)
 	for k := 0; k < 7; k++ {

@@ -76,15 +76,13 @@ func BenchmarkFigure3MultiType(b *testing.B) {
 }
 
 // newBenchEngine builds a 7-type OSSP engine against a fixed estimator for
-// per-decision latency measurements. workers follows Instance.SetWorkers
-// (0 = shared pool, 1 = sequential); cache is the engine's decision cache.
-func newBenchEngine(b *testing.B, useLP bool, workers int, cache sag.CacheConfig) *sag.Engine {
+// per-decision latency measurements; cache is the engine's decision cache.
+func newBenchEngine(b *testing.B, useLP bool, cache sag.CacheConfig) *sag.Engine {
 	b.Helper()
 	inst, err := sim.Table1Instance(sim.AllTable1TypeIDs())
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst.SetWorkers(workers)
 	rates := []float64{196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27}
 	eng, err := sag.NewEngine(sag.EngineConfig{
 		Instance: inst,
@@ -106,24 +104,10 @@ func newBenchEngine(b *testing.B, useLP bool, workers int, cache sag.CacheConfig
 }
 
 // BenchmarkOSSPDecision measures one full per-alert decision (online SSE +
-// closed-form OSSP) with the parallel candidate fan-out — the paper's
-// runtime claim (≈20 ms on their laptop). This is the benchmark the CI
-// regression gate watches.
+// closed-form OSSP) — the paper's runtime claim (≈20 ms on their laptop).
+// This is the benchmark the CI regression gate watches.
 func BenchmarkOSSPDecision(b *testing.B) {
-	eng := newBenchEngine(b, false, 0, sag.CacheConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOSSPDecisionSequential is the same decision with the candidate
-// LPs solved one at a time — the baseline the parallel speedup is measured
-// against.
-func BenchmarkOSSPDecisionSequential(b *testing.B) {
-	eng := newBenchEngine(b, false, 1, sag.CacheConfig{})
+	eng := newBenchEngine(b, false, sag.CacheConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
@@ -136,7 +120,7 @@ func BenchmarkOSSPDecisionSequential(b *testing.B) {
 // estimator and coarse budget quantum keep the game state in one bucket per
 // type, so steady state is all hits — the upper bound of what caching buys.
 func BenchmarkOSSPDecisionCached(b *testing.B) {
-	eng := newBenchEngine(b, false, 0, sag.CacheConfig{Size: 64, BudgetQuantum: 1e6})
+	eng := newBenchEngine(b, false, sag.CacheConfig{Size: 64, BudgetQuantum: 1e6})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {
@@ -192,7 +176,7 @@ func BenchmarkOSSPDecisionWithDeadline(b *testing.B) {
 // BenchmarkOSSPDecisionLP is the same decision with LP (3) instead of the
 // Theorem 3 closed form (ablation A3's runtime arm).
 func BenchmarkOSSPDecisionLP(b *testing.B) {
-	eng := newBenchEngine(b, true, 0, sag.CacheConfig{})
+	eng := newBenchEngine(b, true, sag.CacheConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Process(sag.Alert{Type: i % 7, Time: 9 * time.Hour}); err != nil {

@@ -101,23 +101,17 @@ func quantize(v, q float64) uint64 {
 	return uint64(int64(math.Round(v / q)))
 }
 
-// stateKey encodes (type, quantized budget, quantized rates) into a compact
-// binary string. It is the canonical identity of a decision state: the
-// cache, the in-flight solve coalescing, and the engine's optimistic commit
-// check all agree on it, so "same state" means the same thing everywhere.
-func stateKey(alertType int, budget float64, rates []float64, budgetQ, rateQ float64) string {
+// key encodes (type, quantized budget, quantized rates) under the cache's
+// configured quanta into a compact binary string: the canonical identity of
+// a decision state.
+func (c *decisionCache) key(alertType int, budget float64, rates []float64) string {
 	buf := make([]byte, 8*(2+len(rates)))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(alertType))
-	binary.LittleEndian.PutUint64(buf[8:], quantize(budget, budgetQ))
+	binary.LittleEndian.PutUint64(buf[8:], quantize(budget, c.cfg.BudgetQuantum))
 	for i, r := range rates {
-		binary.LittleEndian.PutUint64(buf[16+8*i:], quantize(r, rateQ))
+		binary.LittleEndian.PutUint64(buf[16+8*i:], quantize(r, c.cfg.RateQuantum))
 	}
 	return string(buf)
-}
-
-// key encodes the state under the cache's configured quanta.
-func (c *decisionCache) key(alertType int, budget float64, rates []float64) string {
-	return stateKey(alertType, budget, rates, c.cfg.BudgetQuantum, c.cfg.RateQuantum)
 }
 
 // get returns a copy of the cached decision for key, if present, promoting

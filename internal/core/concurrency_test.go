@@ -105,7 +105,7 @@ func TestProcessConcurrentSolvesOverlap(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, typ := range []int{0, 1} { // different types → different state keys, no coalescing
+	for _, typ := range []int{0, 1} {
 		wg.Add(1)
 		go func(typ int) {
 			defer wg.Done()
@@ -127,61 +127,6 @@ func TestProcessConcurrentSolvesOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestProcessCoalescesIdenticalStates: a follower that arrives while an
-// identical state (same type, same quantized budget and rates) is being
-// solved waits for the leader's solve instead of running its own.
-func TestProcessCoalescesIdenticalStates(t *testing.T) {
-	bs := newGatedSolver()
-	e, err := NewEngine(Config{
-		Instance:  multiInstance(t),
-		Budget:    1e6,
-		Estimator: constEstimator(196, 29, 140, 10, 25, 15, 43),
-		Policy:    PolicyOSSP,
-		Rand:      rand.New(rand.NewSource(42)),
-		SSESolve:  bs.solve,
-		// Coarse quanta: the leader's commit moves the budget within one
-		// bucket, so the follower's optimistic commit needs no re-solve.
-		Cache: CacheConfig{Size: 8, BudgetQuantum: 1e5, RateQuantum: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := e.Process(Alert{Type: 2})
-			errs <- err
-		}()
-	}
-	launch()
-	select {
-	case <-bs.entered: // leader is inside the solver
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never reached the solver")
-	}
-	launch()
-	// Give the follower time to pass the cache miss and join the in-flight
-	// solve. It must not enter the solver itself.
-	time.Sleep(100 * time.Millisecond)
-	close(bs.release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := bs.calls.Load(); got != 1 {
-		t.Fatalf("solver ran %d times for two identical concurrent states, want 1", got)
-	}
-	if ds := e.Decisions(); len(ds) != 2 {
-		t.Fatalf("committed %d decisions, want 2", len(ds))
 	}
 }
 

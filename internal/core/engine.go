@@ -209,10 +209,9 @@ type Decision struct {
 // budget is still in the same (cache-quantized) bucket; otherwise it
 // re-solves, accepting a near-state solve after a bounded number of retries
 // (the same staleness the decision cache's quantization and the last-good
-// fallback rung already embrace). Identical in-flight states are coalesced
-// so a burst of same-type alerts pays for one solve. A NewCycle racing a
-// decision bumps the cycle epoch and the decision fails with
-// ErrCycleRolledOver instead of charging the new cycle's budget.
+// fallback rung already embrace). A NewCycle racing a decision bumps the
+// cycle epoch and the decision fails with ErrCycleRolledOver instead of
+// charging the new cycle's budget.
 //
 // Single-threaded callers observe exactly the sequential semantics: with no
 // concurrent Process call the snapshot always matches the commit state, so
@@ -230,7 +229,6 @@ type Decision struct {
 //	cache  — the decision cache's own mutex (self-locking; reached both
 //	         with and without mu held)
 //	estMu  — serializes the (possibly stateful) estimator
-//	flight — the in-flight solve registry (never held during a solve)
 type Engine struct {
 	mu       sync.Mutex
 	estMu    sync.Mutex
@@ -258,7 +256,6 @@ type Engine struct {
 	hasPending  bool
 	decisions   []Decision
 	cache       *decisionCache
-	flight      flightGroup
 	// lastSSE / lastRates feed the degraded rungs: the most recent
 	// successfully solved equilibrium (for the last-good-θ rung) and the
 	// most recent successful future-rate estimate (for the static rung's
@@ -528,9 +525,9 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 
 // sameBudgetBucket reports whether the current budget still falls in the
 // same quantization bucket as the snapshot a solve ran at. The bucket width
-// is the decision cache's budget quantum — the identity the cache and the
-// single-flight group already use — or exact bit equality when caching is
-// disabled. The caller holds e.mu.
+// is the decision cache's budget quantum — the identity the cache already
+// uses — or exact bit equality when caching is disabled. The caller holds
+// e.mu.
 func (e *Engine) sameBudgetBucket(snapshot float64) bool {
 	q := 0.0
 	if e.cache != nil {
@@ -554,9 +551,8 @@ func (e *Engine) Preview(a Alert) (*Decision, error) {
 }
 
 // decideAt runs the decision pipeline for a at the given budget snapshot,
-// holding no engine-wide lock: estimate, cache lookup, then the solve —
-// coalesced with any identical in-flight solve. The caller has validated
-// a.Type and commits (or discards) the result.
+// holding no engine-wide lock: estimate, cache lookup, then the solve. The
+// caller has validated a.Type and commits (or discards) the result.
 func (e *Engine) decideAt(ctx context.Context, a Alert, budget float64) (*Decision, error) {
 	rates, futures, err := e.estimate(a.Time)
 	if err != nil {
@@ -565,47 +561,28 @@ func (e *Engine) decideAt(ctx context.Context, a Alert, budget float64) (*Decisi
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: decision deadline: %w", err)
 	}
+	if e.cache == nil {
+		return e.solveAt(ctx, a, budget, futures)
+	}
 
 	// The whole remaining pipeline is a pure function of (type, budget,
 	// rates) — alert time enters only through the rates — so a cached
-	// decision at the same (quantized) state stands in for a fresh solve,
-	// and an identical state already being solved is worth waiting for
-	// instead of solving again.
-	var budgetQ, rateQ float64
-	if e.cache != nil {
-		budgetQ, rateQ = e.cache.cfg.BudgetQuantum, e.cache.cfg.RateQuantum
+	// decision at the same (quantized) state stands in for a fresh solve.
+	key := e.cache.key(a.Type, budget, rates)
+	if hit, ok := e.cache.get(key); ok {
+		e.met.cacheHits.Inc()
+		hit.Alert = a
+		hit.BudgetBefore = budget
+		hit.BudgetAfter = budget
+		return &hit, nil
 	}
-	key := stateKey(a.Type, budget, rates, budgetQ, rateQ)
-	if e.cache != nil {
-		if hit, ok := e.cache.get(key); ok {
-			e.met.cacheHits.Inc()
-			hit.Alert = a
-			hit.BudgetBefore = budget
-			hit.BudgetAfter = budget
-			return &hit, nil
-		}
-		e.met.cacheMisses.Inc()
-	}
-
-	d, shared, err := e.flight.do(ctx, key, func() (*Decision, error) {
-		return e.solveAt(ctx, a, budget, futures)
-	})
+	e.met.cacheMisses.Inc()
+	d, err := e.solveAt(ctx, a, budget, futures)
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		// Another caller's solve answered this state. The scheme transfers
-		// — same type, same quantization bucket — but the alert identity is
-		// this caller's own, and each caller samples its own signal at
-		// commit.
-		e.met.coalescedSolves.Inc()
-		d.Alert = a
-		d.BudgetBefore = budget
-		d.BudgetAfter = budget
-		return &d, nil
-	}
-	e.memoize(key, &d)
-	return &d, nil
+	e.memoize(key, d)
+	return d, nil
 }
 
 // estimate queries the estimator for the expected future alert volumes at
@@ -872,11 +849,9 @@ func (e *Engine) staticDecision(a Alert) *Decision {
 // Process commits the sampled fields (Warned, AuditCharge, BudgetAfter), so
 // a later hit re-samples the signal against the same Scheme instead of
 // replaying one draw. The *game.Result pointer is shared between the cached
-// copy and live decisions; it is treated as immutable everywhere.
+// copy and live decisions; it is treated as immutable everywhere. The
+// caller has checked that the cache is on.
 func (e *Engine) memoize(key string, d *Decision) {
-	if e.cache == nil {
-		return
-	}
 	if e.cache.put(key, *d) {
 		e.met.cacheEvictions.Inc()
 	}
@@ -998,15 +973,8 @@ type CycleSummary struct {
 	BudgetSpent     float64 // initial − remaining
 	MeanSSEUtility  float64
 	MeanOSSPUtility float64
-	// MeanOSSPUtilty mirrors MeanOSSPUtility under the misspelled name the
-	// field was first exported with, so JSON consumers keyed on the old
-	// spelling keep working for one release.
-	//
-	// Deprecated: use MeanOSSPUtility. This alias will be removed in the
-	// next release.
-	MeanOSSPUtilty float64
-	FinalSSE       float64 // utility at the last alert (end-of-day health)
-	FinalOSSP      float64
+	FinalSSE        float64 // utility at the last alert (end-of-day health)
+	FinalOSSP       float64
 }
 
 // Summary aggregates the decisions recorded so far.
@@ -1034,7 +1002,6 @@ func (e *Engine) Summary() CycleSummary {
 	last := e.decisions[len(e.decisions)-1]
 	s.MeanSSEUtility = sse.Mean()
 	s.MeanOSSPUtility = ossp.Mean()
-	s.MeanOSSPUtilty = s.MeanOSSPUtility // deprecated alias, kept in sync
 	s.FinalSSE = last.SSEUtility
 	s.FinalOSSP = last.OSSPUtility
 	return s

@@ -51,9 +51,6 @@ const (
 	// MetricStaleCommitsTotal counts decisions committed from a stale
 	// budget snapshot after exhausting the commit-retry bound.
 	MetricStaleCommitsTotal = "sag_engine_stale_commits_total"
-	// MetricCoalescedSolvesTotal counts decisions answered by another
-	// caller's identical in-flight solve (single-flight coalescing).
-	MetricCoalescedSolvesTotal = "sag_engine_coalesced_solves_total"
 	// MetricJournalRollbacksTotal counts committed decisions that were
 	// rolled back because their journal record could not be enqueued: the
 	// budget charge is reversed, the decision is popped, and the sampled
@@ -61,7 +58,7 @@ const (
 	// what crash recovery would replay.
 	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
 	// MetricInflightSolves is a gauge of decision pipelines currently inside
-	// the SSE/signaling solve (past the cache and coalescing layers).
+	// the SSE/signaling solve (past the decision cache).
 	MetricInflightSolves = "sag_engine_inflight_solves"
 )
 
@@ -93,7 +90,6 @@ type engineMetrics struct {
 
 	commitRetries    *obs.Counter
 	staleCommits     *obs.Counter
-	coalescedSolves  *obs.Counter
 	inflightSolves   *obs.Gauge
 	journalRollbacks *obs.Counter
 }
@@ -155,7 +151,6 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 
 		commitRetries:    reg.Counter(MetricCommitRetriesTotal, "Optimistic commits that re-solved at a fresh budget.", with()...),
 		staleCommits:     reg.Counter(MetricStaleCommitsTotal, "Decisions committed from a stale budget snapshot after retry exhaustion.", with()...),
-		coalescedSolves:  reg.Counter(MetricCoalescedSolvesTotal, "Decisions answered by an identical in-flight solve.", with()...),
 		inflightSolves:   reg.Gauge(MetricInflightSolves, "Decision pipelines currently inside the SSE/signaling solve.", with()...),
 		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Committed decisions rolled back because journaling failed.", with()...),
 	}

@@ -109,8 +109,8 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 4 {
-		t.Fatalf("settings = %d, want 4 (single + sequential/parallel/cached 7-type arms)", len(reps))
+	if len(reps) != 3 {
+		t.Fatalf("settings = %d, want 3 (single + sequential/cached 7-type arms)", len(reps))
 	}
 	for _, r := range reps {
 		if r.Alerts == 0 {
@@ -128,22 +128,17 @@ func TestRuntimeWellUnderPaperBudget(t *testing.T) {
 			t.Errorf("%s: pivots %d < iterations %d", r.Setting, r.SimplexPivots, r.SimplexIterations)
 		}
 	}
-	// Sequential and parallel arms must report identical solver effort —
-	// that is the determinism guarantee of the fan-out — while the cached
-	// arm may only do less work, never more.
-	seq, par, cac := reps[1], reps[2], reps[3]
-	if seq.LPSolves != par.LPSolves || seq.SimplexPivots != par.SimplexPivots {
-		t.Errorf("parallel arm effort (%d LPs, %d pivots) differs from sequential (%d, %d)",
-			par.LPSolves, par.SimplexPivots, seq.LPSolves, seq.SimplexPivots)
-	}
+	// The cached arm may only do less solver work than the sequential one,
+	// never more.
+	seq, cac := reps[1], reps[2]
 	if cac.LPSolves > seq.LPSolves {
 		t.Errorf("cached arm solved more LPs (%d) than sequential (%d)", cac.LPSolves, seq.LPSolves)
 	}
 	if cac.CacheHits+cac.CacheMisses == 0 {
 		t.Errorf("cached arm recorded no cache traffic: %+v", cac)
 	}
-	if par.SpeedupVsSeq <= 0 || cac.SpeedupVsSeq <= 0 {
-		t.Errorf("speedup ratios not populated: parallel %g, cached %g", par.SpeedupVsSeq, cac.SpeedupVsSeq)
+	if cac.SpeedupVsSeq <= 0 {
+		t.Errorf("cached speedup ratio not populated: %g", cac.SpeedupVsSeq)
 	}
 	var buf bytes.Buffer
 	RenderRuntime(&buf, reps)

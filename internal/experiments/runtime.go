@@ -34,32 +34,27 @@ type RuntimeReport struct {
 	CacheMisses  uint64
 	CacheHitRate float64
 	// SpeedupVsSeq is this arm's mean-latency speedup relative to the
-	// sequential 7-type arm (0 for arms without a baseline). Values below 1
-	// on few-core machines are expected for the parallel arm: the fan-out
-	// only pays for itself when candidate solves can actually overlap.
+	// sequential 7-type arm (0 for arms without a baseline).
 	SpeedupVsSeq float64
 }
 
 // Runtime measures the mean and worst per-alert decision latency of the
 // full pipeline (future estimation + online SSE + OSSP) on a test day. The
-// single-type setting has one arm; the 7-type setting runs three — the
-// sequential solver, the parallel candidate fan-out, and the fan-out with a
-// warm quantized decision cache — so the report shows what each optimization
-// layer buys at the paper's scale.
+// single-type setting has one arm; the 7-type setting runs two — the
+// sequential solver and the same solver behind a warm quantized decision
+// cache — so the report shows what the cache buys at the paper's scale.
 func Runtime(scale Scale) ([]RuntimeReport, error) {
 	var out []RuntimeReport
 	settings := []struct {
 		name     string
 		typeIDs  []int
 		budget   float64
-		workers  int // game.Instance workers: 1 = sequential, 0 = shared pool
 		cache    core.CacheConfig
 		baseline int // index of the sequential arm this arm is compared to
 	}{
-		{"single type (Same Last Name), B=20", []int{1}, 20, 1, core.CacheConfig{}, -1},
-		{"7 alert types, B=50 (sequential)", sim.AllTable1TypeIDs(), 50, 1, core.CacheConfig{}, -1},
-		{"7 alert types, B=50 (parallel)", sim.AllTable1TypeIDs(), 50, 0, core.CacheConfig{}, 1},
-		{"7 alert types, B=50 (parallel+cache)", sim.AllTable1TypeIDs(), 50, 0,
+		{"single type (Same Last Name), B=20", []int{1}, 20, core.CacheConfig{}, -1},
+		{"7 alert types, B=50 (sequential)", sim.AllTable1TypeIDs(), 50, core.CacheConfig{}, -1},
+		{"7 alert types, B=50 (cache)", sim.AllTable1TypeIDs(), 50,
 			core.CacheConfig{Size: 512, BudgetQuantum: 1, RateQuantum: 5}, 1},
 	}
 	for _, s := range settings {
@@ -71,7 +66,6 @@ func Runtime(scale Scale) ([]RuntimeReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst.SetWorkers(s.workers)
 		curves, err := history.NewCurves(ds.Records(0, scale.HistoryDays), ds.NumTypes, scale.HistoryDays)
 		if err != nil {
 			return nil, err

@@ -26,7 +26,6 @@ import (
 	"github.com/auditgames/sag/internal/dist"
 	"github.com/auditgames/sag/internal/lp"
 	"github.com/auditgames/sag/internal/payoff"
-	"github.com/auditgames/sag/internal/pool"
 )
 
 // Instance describes the static part of an audit game: the alert-type
@@ -35,30 +34,7 @@ import (
 type Instance struct {
 	Payoffs    []payoff.Payoff
 	AuditCosts []float64
-
-	// workers bounds the candidate-LP fan-out of solveSSE; see SetWorkers.
-	workers int
 }
-
-// SetWorkers bounds the per-candidate LP fan-out for SSE solves on this
-// instance: 0 (the default) uses the shared GOMAXPROCS-sized worker pool,
-// 1 forces the sequential reference path, and n > 1 caps the number of
-// concurrent candidate solves at n. Parallel and sequential solves return
-// bit-identical Results: candidate LPs are independent and deterministic,
-// results are reduced in ascending type order with ties broken toward the
-// lowest type index, and solver-effort counters are integer sums (exact and
-// order-independent). Configure before solving begins — the setting is read
-// by every solve and must not be changed concurrently with solves.
-func (in *Instance) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	in.workers = n
-}
-
-// Workers returns the configured candidate-solve fan-out bound (0 = shared
-// pool default).
-func (in *Instance) Workers() int { return in.workers }
 
 // NewInstance validates and builds an Instance. Payoffs and costs must have
 // equal nonzero length, every payoff must satisfy the paper's sign
@@ -203,102 +179,51 @@ func SolveOfflineSSE(inst *Instance, budget float64, counts []float64) (*Result,
 // coefficient: θ^t = coeffs[t]·B^t/V^t. attackable[t] gates both the
 // candidate set and the best-response constraints.
 //
-// The k candidate LPs are independent, so they fan out across the shared
-// worker pool (bounded by Instance.SetWorkers). Each candidate writes into
-// its own index slot; the reduction below runs sequentially in ascending
-// type order with the strong-SSE tie-break (lowest type index at equal
-// defender utility, within the 1e-12 comparison tolerance), so the parallel
-// and sequential paths produce bit-identical Results.
+// Candidates are solved one after another in ascending type order, keeping
+// the strong-SSE tie-break: the lowest type index wins at equal defender
+// utility, within the 1e-12 comparison tolerance.
 //
-// Cancellation is cooperative at two grains: between candidates (a canceled
-// ctx stops new candidate solves from starting, via pool.ForEachCtx and the
-// per-candidate check below) and inside a candidate (lp.SolveCtx polls ctx
-// every few simplex iterations). Either way the reduction surfaces the ctx
-// error deterministically.
+// Cancellation is cooperative at two grains: ctx is checked before each
+// candidate, and lp.SolveCtx polls it every few simplex iterations. Either
+// way the solve returns the ctx error, never a best response taken over a
+// subset of the candidates (which could crown the wrong type); the caller
+// decides how to degrade.
 func solveSSE(ctx context.Context, inst *Instance, budget float64, coeffs []float64, attackable []bool) (*Result, error) {
 	k := inst.NumTypes()
-	cands := make([]int, 0, k)
+	feasible := make([]bool, k)
+	var stats SolveStats
+	var best *Result
 	for t, a := range attackable {
-		if a {
-			cands = append(cands, t)
+		if !a {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("game: online SSE canceled before candidate %d: %w", t, err)
+		}
+		res, lpStats, ok, err := solveCandidate(ctx, inst, budget, coeffs, attackable, t)
+		if err != nil {
+			return nil, err
+		}
+		stats.LPSolves++
+		stats.Simplex.Accumulate(lpStats)
+		feasible[t] = ok
+		if ok && (best == nil || res.DefenderUtility > best.DefenderUtility+1e-12) {
+			best = res
 		}
 	}
-	if len(cands) == 0 {
+	if stats.LPSolves == 0 {
 		return &Result{
 			BestType:          -1,
 			Coverage:          make([]float64, k),
 			Allocation:        make([]float64, k),
-			CandidateFeasible: make([]bool, k),
+			CandidateFeasible: feasible,
 		}, nil
-	}
-
-	results := make([]*Result, k)
-	feasible := make([]bool, k)
-	ran := make([]bool, k)
-	errs := make([]error, k)
-	var simplex lp.AtomicStats
-	solve := func(i int) {
-		t := cands[i]
-		// Cooperative cancellation between candidates: a candidate that has
-		// not started when the deadline fires is never solved.
-		if ctx.Err() != nil {
-			return
-		}
-		res, lpStats, ok, err := solveCandidate(ctx, inst, budget, coeffs, attackable, t)
-		ran[t] = true
-		if err != nil {
-			errs[t] = err
-			return
-		}
-		simplex.Add(lpStats)
-		feasible[t] = ok
-		if ok {
-			results[t] = res
-		}
-	}
-	if w := inst.workers; w == 1 || len(cands) == 1 {
-		for i := range cands {
-			solve(i)
-		}
-	} else {
-		// ForEachCtx additionally skips scheduling once ctx is done; the
-		// ran[] bookkeeping below distinguishes skipped from infeasible.
-		_ = pool.Shared().ForEachCtx(ctx, len(cands), w, solve)
-	}
-
-	// Deterministic reduction: errors and candidates are examined in
-	// ascending type order regardless of solve scheduling. A candidate that
-	// never ran means the context fired mid-solve — a partial reduction
-	// could silently crown the wrong best response, so cancellation is
-	// surfaced as an error and the caller decides how to degrade.
-	var stats SolveStats
-	best := (*Result)(nil)
-	for _, t := range cands {
-		if !ran[t] {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, fmt.Errorf("game: online SSE canceled before candidate %d: %w", t, err)
-		}
-		if errs[t] != nil {
-			return nil, errs[t]
-		}
-		stats.LPSolves++
-		res := results[t]
-		if res == nil {
-			continue
-		}
-		if best == nil || res.DefenderUtility > best.DefenderUtility+1e-12 {
-			best = res
-		}
 	}
 	if best == nil {
 		// Cannot happen for valid inputs: the unconstrained-attacker
 		// candidate argmax U_au is always feasible with zero allocation.
 		return nil, fmt.Errorf("game: no feasible best-response candidate (internal invariant violated)")
 	}
-	stats.Simplex = simplex.Load()
 	best.CandidateFeasible = feasible
 	best.Stats = stats
 	return best, nil

@@ -1,7 +1,10 @@
 package game
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +362,104 @@ func TestQuickSSEFeasibilityInvariants(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomInstance builds a valid random instance with k types.
+func randomInstance(t *testing.T, rng *rand.Rand, k int) *Instance {
+	t.Helper()
+	pays := make([]payoff.Payoff, k)
+	costs := make([]float64, k)
+	for i := range pays {
+		pays[i] = payoff.Payoff{
+			DefenderCovered:   rng.Float64() * 700,
+			DefenderUncovered: -(10 + rng.Float64()*2000),
+			AttackerCovered:   -(10 + rng.Float64()*6000),
+			AttackerUncovered: 10 + rng.Float64()*800,
+		}
+		costs[i] = 0.5 + rng.Float64()*5
+	}
+	inst, err := NewInstance(pays, costs)
+	if err != nil {
+		t.Fatalf("random instance invalid: %v", err)
+	}
+	return inst
+}
+
+// TestZeroCoefficientBounds is the regression test for the coeffs[j] == 0
+// guard in solveCandidate: a type with a zero (or negative-zero) expected
+// future-alert coefficient must fall back to the plain budget cap on its
+// allocation variable rather than deriving a ±Inf bound from AuditCosts/0.
+func TestZeroCoefficientBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	inst := randomInstance(t, rng, 3)
+	budget := 10.0
+
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		coeffs := []float64{0.8, zero, 0.5}
+		attackable := []bool{true, true, true}
+		res, err := solveSSE(context.Background(), inst, budget, coeffs, attackable)
+		if err != nil {
+			t.Fatalf("zero=%g: solveSSE failed: %v", zero, err)
+		}
+		for j, v := range res.Allocation {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > budget+1e-9 {
+				t.Fatalf("zero=%g: allocation[%d] = %g outside [0, budget]", zero, j, v)
+			}
+		}
+		for j, c := range res.Coverage {
+			if math.IsNaN(c) || c < 0 || c > 1+1e-9 {
+				t.Fatalf("zero=%g: coverage[%d] = %g outside [0, 1]", zero, j, c)
+			}
+		}
+		// The zero-coefficient type yields zero marginal coverage however
+		// much budget it gets, so its coverage must be exactly zero.
+		if res.Coverage[1] != 0 {
+			t.Fatalf("zero=%g: zero-coefficient type has coverage %g, want 0", zero, res.Coverage[1])
+		}
+	}
+}
+
+// cancelAfterCtx reports no error for its first n Err calls and
+// context.Canceled afterwards. Its Done channel is nil, so the simplex
+// loop never polls it: only the check before each candidate sees it fire.
+type cancelAfterCtx struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfterCtx) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveOnlineSSECanceled: a context that is done before a candidate
+// starts makes the solve return an error wrapping the context's, never a
+// best response reduced over only the candidates solved so far.
+func TestSolveOnlineSSECanceled(t *testing.T) {
+	inst := table2Instance(t, 1)
+	futures := make([]dist.Poisson, inst.NumTypes())
+	for i := range futures {
+		futures[i] = dist.Poisson{Lambda: 10}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := SolveOnlineSSECtx(ctx, inst, 20, futures)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("already-canceled ctx: got (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+
+	// Canceled once the first candidate has been solved.
+	late := &cancelAfterCtx{Context: context.Background(), n: 1}
+	res, err = SolveOnlineSSECtx(late, inst, 20, futures)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("ctx canceled after candidate 0: got (%v, %v), want (nil, context.Canceled)", res, err)
+	}
+	if late.calls != 2 {
+		t.Fatalf("ctx checked %d times, want 2 (before candidates 0 and 1)", late.calls)
 	}
 }

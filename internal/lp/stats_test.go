@@ -35,50 +35,6 @@ func TestSolveStats(t *testing.T) {
 	}
 }
 
-// TestAtomicStats checks concurrent accumulation matches sequential
-// accumulation exactly (integer counts are order-independent) and that
-// concurrent Solve calls on one immutable Problem are race-safe — the
-// guarantee the parallel candidate fan-out in internal/game depends on.
-func TestAtomicStats(t *testing.T) {
-	p := New(Maximize, 2)
-	if err := p.SetObjective([]float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddConstraint([]float64{1, 1}, LE, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddConstraint([]float64{1, 2}, GE, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	ref := MustSolve(p)
-
-	const workers = 8
-	const perWorker = 25
-	var agg AtomicStats
-	done := make(chan Stats, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			var local Stats
-			for i := 0; i < perWorker; i++ {
-				sol := MustSolve(p) // same immutable Problem from every goroutine
-				agg.Add(sol.Stats)
-				local.Accumulate(sol.Stats)
-			}
-			done <- local
-		}()
-	}
-	var want Stats
-	for w := 0; w < workers; w++ {
-		want.Accumulate(<-done)
-	}
-	if got := agg.Load(); got != want {
-		t.Fatalf("atomic aggregation %+v != sequential %+v", got, want)
-	}
-	if got := agg.Load(); got.Pivots != workers*perWorker*ref.Stats.Pivots {
-		t.Fatalf("pivots %d, want %d (deterministic per-solve effort)", got.Pivots, workers*perWorker*ref.Stats.Pivots)
-	}
-}
-
 // TestSolveStatsInfeasible: infeasible problems still report the phase-1
 // effort spent discovering infeasibility.
 func TestSolveStatsInfeasible(t *testing.T) {

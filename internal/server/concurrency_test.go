@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,57 +133,6 @@ func TestConcurrentAccessSolvesOverlap(t *testing.T) {
 		if r.resp.Fallback != "" {
 			t.Fatalf("decision degraded (%s): the solver barrier timed out", r.resp.Fallback)
 		}
-	}
-}
-
-// TestBurstOfIdenticalAlertsCoalesces: while one solve for a state is in
-// flight, an identical request (same type, same quantized budget/rates)
-// waits for that solve instead of running its own — one LP pipeline for the
-// whole burst — and the coalescing is visible in the metrics.
-func TestBurstOfIdenticalAlertsCoalesces(t *testing.T) {
-	bs := newGatedSolver()
-	_, ts, bgE, bgP := fixtureWith(t, func(cfg *Config) {
-		cfg.SSESolve = bs.solve
-		cfg.Cache = core.CacheConfig{Size: 32, BudgetQuantum: 1000, RateQuantum: 1}
-	})
-
-	var wg sync.WaitGroup
-	codes := make(chan int, 2)
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			codes <- post(t, ts, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil)
-		}()
-	}
-	launch()
-	select {
-	case <-bs.entered: // leader inside the solver
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never reached the solver")
-	}
-	launch()
-	time.Sleep(100 * time.Millisecond) // follower joins the in-flight solve
-	close(bs.release)
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("access status %d", code)
-		}
-	}
-	if got := bs.calls.Load(); got != 1 {
-		t.Fatalf("solver ran %d times for an identical burst, want 1", got)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), core.MetricCoalescedSolvesTotal+`{tenant="default"} 1`) {
-		t.Fatalf("coalesced-solve counter not exported:\n%s", body)
 	}
 }
 

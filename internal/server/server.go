@@ -23,8 +23,7 @@
 // (see internal/shard): its own budget chain, decision cache, fallback
 // state, and RNG stream. Tenants are created on first use up to
 // Config.MaxTenants (429 beyond it); the world, detection rules, and game
-// instance — all immutable during serving — are shared, which also bounds
-// box-wide solve parallelism through the instance's shared worker pool.
+// instance — all immutable during serving — are shared.
 //
 // Concurrency: the serving hot path is not globally serialized. Decisions
 // run concurrently through each engine's optimistic snapshot/commit
@@ -90,9 +89,7 @@ type Config struct {
 	// not gamed (treated as benign for auditing purposes).
 	TypeIDs []int
 	// Instance, Budget, Estimator, Seed configure the game engines. The
-	// instance is shared by every tenant engine: payoffs are immutable and
-	// its worker bound feeds the shared internal/pool, so box-wide solve
-	// parallelism stays capped no matter how many tenants are resident.
+	// instance is shared by every tenant engine: its payoffs are immutable.
 	// Budget is each new tenant's initial cycle budget. Seed seeds the
 	// default tenant's RNG exactly; other tenants fold in a hash of their
 	// ID (see shard.Seed) so streams are distinct but reproducible.

@@ -4,10 +4,10 @@
 // state; the router owns the map from tenant ID to engine and keeps the
 // box-wide resource envelope bounded:
 //
-//   - Solve parallelism is bounded because every tenant engine shares one
-//     game.Instance whose worker bound feeds the shared internal/pool — the
-//     pool's width caps concurrent simplex work no matter how many tenants
-//     are resident.
+//   - Every tenant engine shares one immutable game.Instance, and each
+//     decision solves its candidate LPs on the caller's goroutine, so
+//     concurrent simplex work is bounded by the number of in-flight
+//     requests (see package admit), not by how many tenants are resident.
 //   - The decision-cache footprint is bounded by Config.CacheBudget: on
 //     every tenant create/remove the router rebalances the per-engine cache
 //     capacity to budget/n, evicting LRU entries down to the new share.

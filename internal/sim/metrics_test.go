@@ -6,7 +6,7 @@ import (
 	"github.com/auditgames/sag/internal/obs"
 )
 
-// TestRunnerMetrics: parallel replications share one registry and report
+// TestRunnerMetrics: replications share one registry and report
 // per-replication throughput.
 func TestRunnerMetrics(t *testing.T) {
 	ds, err := BuildTable1Pipeline(PipelineConfig{
@@ -26,7 +26,7 @@ func TestRunnerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := Groups(8, 6) // 2 replications
-	results, err := r.RunGroupsParallel(groups, 2)
+	results, err := r.RunGroups(groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,8 +159,7 @@ type Config struct {
 	// UseLPSignaling routes OSSP through LP (3) instead of the closed form.
 	UseLPSignaling bool
 	// Metrics, when non-nil, receives per-replication throughput
-	// instrumentation (see the Metric* constants). Instruments are
-	// atomic, so RunGroupsParallel replications share them safely.
+	// instrumentation (see the Metric* constants).
 	Metrics *obs.Registry
 }
 
