@@ -222,6 +222,9 @@ type Decision struct {
 // The slice returned by Decisions is owned by the engine and must not be
 // read concurrently with Process/NewCycle calls.
 //
+// Durability: a commit is never undone. When the journal hook fails, the
+// engine must be rebuilt from its journal (see JournalFunc).
+//
 // Lock hierarchy (acquire top to bottom, never upward):
 //
 //	mu     — budget chain: budget, initial, cycle, decisions, rng,
@@ -230,32 +233,24 @@ type Decision struct {
 //	         with and without mu held)
 //	estMu  — serializes the (possibly stateful) estimator
 type Engine struct {
-	mu       sync.Mutex
-	estMu    sync.Mutex
-	inst     *game.Instance
-	est      Estimator
-	policy   Policy
-	rng      *rand.Rand
-	useLP    bool
-	bayes    []signaling.AttackerType
-	deadline time.Duration
-	degrade  bool
-	sseSolve SSESolveFunc
-	journal  JournalFunc
-	budget   float64
-	initial  float64
-	cycle    uint64 // epoch, bumped by NewCycle; guarded by mu
-	rngDraws uint64 // signal-sampling draws consumed; guarded by mu
-	// pendingDraw buffers one value pulled from rng but not yet consumed
-	// (counted in rngDraws). The commit path peeks the draw to sample the
-	// signal and consumes it only once the journal record is enqueued; a
-	// journal failure rolls the decision back but cannot rewind rng, so
-	// the buffered value is what keeps the live stream aligned with the
-	// stream a crash-recovered engine would fast-forward to. Guarded by mu.
-	pendingDraw float64
-	hasPending  bool
-	decisions   []Decision
-	cache       *decisionCache
+	mu        sync.Mutex
+	estMu     sync.Mutex
+	inst      *game.Instance
+	est       Estimator
+	policy    Policy
+	rng       *rand.Rand
+	useLP     bool
+	bayes     []signaling.AttackerType
+	deadline  time.Duration
+	degrade   bool
+	sseSolve  SSESolveFunc
+	journal   JournalFunc
+	budget    float64
+	initial   float64
+	cycle     uint64 // epoch, bumped by NewCycle; guarded by mu
+	rngDraws  uint64 // signal-sampling draws consumed; guarded by mu
+	decisions []Decision
+	cache     *decisionCache
 	// lastSSE / lastRates feed the degraded rungs: the most recent
 	// successfully solved equilibrium (for the last-good-θ rung) and the
 	// most recent successful future-rate estimate (for the static rung's
@@ -465,16 +460,13 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 			}
 			e.met.staleCommits.Inc()
 		}
-		// Commit: sample the signal and charge the budget. The signal draw
-		// is peeked, not consumed — if journaling fails below, the decision
-		// rolls back and the buffered draw is re-used by the next commit,
-		// exactly as a crash-recovered engine would sample it.
+		// Commit: sample the signal and charge the budget.
 		d.BudgetBefore = e.budget
 		V := e.inst.AuditCosts[a.Type]
 		switch e.policy {
 		case PolicyOSSP:
-			warnProb := d.Scheme.WarnProbability()
-			d.Warned = e.peekDrawLocked() < warnProb
+			d.Warned = e.rng.Float64() < d.Scheme.WarnProbability()
+			e.rngDraws++
 			if d.Warned {
 				d.AuditCharge = d.Scheme.AuditGivenWarn()
 			} else {
@@ -493,31 +485,18 @@ func (e *Engine) ProcessContext(ctx context.Context, a Alert) (*Decision, error)
 		if e.journal != nil {
 			wait, journalErr = e.journal(e.recordLocked(d))
 		}
-		if journalErr != nil {
-			// The record never entered the journal, so recovery will never
-			// replay it: un-commit. The request is not acknowledged, the
-			// budget chain and decision list match what is durable, and the
-			// peeked draw stays buffered for the next commit.
-			e.decisions = e.decisions[:len(e.decisions)-1]
-			e.budget = d.BudgetBefore
-			e.met.journalRollbacks.Inc()
-			e.met.budget.Set(e.budget)
-			e.mu.Unlock()
-			return nil, fmt.Errorf("core: journaling decision: %w", journalErr)
-		}
-		if e.policy == PolicyOSSP {
-			e.consumeDrawLocked()
-		}
 		if e.met.enabled {
 			e.met.decision.ObserveSince(t0)
 			e.met.decisions.Inc()
 			e.met.budget.Set(e.budget)
 		}
 		e.mu.Unlock()
-		if wait != nil {
-			if err := wait(); err != nil {
-				return nil, fmt.Errorf("core: journal fsync: %w", err)
-			}
+		if journalErr == nil && wait != nil {
+			journalErr = wait()
+		}
+		if journalErr != nil {
+			// Committed in memory, maybe not on disk: see JournalFunc.
+			return nil, fmt.Errorf("core: journaling decision: %w", journalErr)
 		}
 		return d, nil
 	}

@@ -51,12 +51,6 @@ const (
 	// MetricStaleCommitsTotal counts decisions committed from a stale
 	// budget snapshot after exhausting the commit-retry bound.
 	MetricStaleCommitsTotal = "sag_engine_stale_commits_total"
-	// MetricJournalRollbacksTotal counts committed decisions that were
-	// rolled back because their journal record could not be enqueued: the
-	// budget charge is reversed, the decision is popped, and the sampled
-	// signal draw is kept buffered so the RNG stream stays aligned with
-	// what crash recovery would replay.
-	MetricJournalRollbacksTotal = "sag_engine_journal_rollbacks_total"
 	// MetricInflightSolves is a gauge of decision pipelines currently inside
 	// the SSE/signaling solve (past the decision cache).
 	MetricInflightSolves = "sag_engine_inflight_solves"
@@ -88,10 +82,9 @@ type engineMetrics struct {
 	fallbackStatic   *obs.Counter
 	deadlineExceeded *obs.Counter
 
-	commitRetries    *obs.Counter
-	staleCommits     *obs.Counter
-	inflightSolves   *obs.Gauge
-	journalRollbacks *obs.Counter
+	commitRetries  *obs.Counter
+	staleCommits   *obs.Counter
+	inflightSolves *obs.Gauge
 }
 
 // fallbackCounter maps a degraded level to its labeled counter (nil, hence a
@@ -149,10 +142,9 @@ func newEngineMetrics(reg *obs.Registry, policy Policy, extra ...obs.Label) engi
 		fallbackStatic:   reg.Counter(MetricFallbackTotal, fallbackHelp, with(obs.L("level", fallback.Static.String()))...),
 		deadlineExceeded: reg.Counter(MetricDeadlineExceededTotal, "Decisions cut off by the per-decision deadline.", with()...),
 
-		commitRetries:    reg.Counter(MetricCommitRetriesTotal, "Optimistic commits that re-solved at a fresh budget.", with()...),
-		staleCommits:     reg.Counter(MetricStaleCommitsTotal, "Decisions committed from a stale budget snapshot after retry exhaustion.", with()...),
-		inflightSolves:   reg.Gauge(MetricInflightSolves, "Decision pipelines currently inside the SSE/signaling solve.", with()...),
-		journalRollbacks: reg.Counter(MetricJournalRollbacksTotal, "Committed decisions rolled back because journaling failed.", with()...),
+		commitRetries:  reg.Counter(MetricCommitRetriesTotal, "Optimistic commits that re-solved at a fresh budget.", with()...),
+		staleCommits:   reg.Counter(MetricStaleCommitsTotal, "Decisions committed from a stale budget snapshot after retry exhaustion.", with()...),
+		inflightSolves: reg.Gauge(MetricInflightSolves, "Decision pipelines currently inside the SSE/signaling solve.", with()...),
 	}
 }
 

@@ -46,10 +46,11 @@ type DecisionRecord struct {
 // after releasing the lock and before returning, so the response is not
 // produced until the record is as durable as the journal's policy promises.
 //
-// An enqueue error is returned to the Process caller. The in-memory commit
-// has already happened at that point — the engine and the journal have
-// diverged — so callers should treat journal errors as fatal for the
-// engine's durability and stop serving from it.
+// An enqueue or wait error is returned to the Process caller after the
+// decision has committed in memory, so the engine may now hold a decision
+// its journal does not. The caller must stop serving from the engine and
+// rebuild it from the journal: the HTTP server unloads the tenant, and the
+// next request restores it from disk. That rebuild is the only rollback.
 type JournalFunc func(rec DecisionRecord) (wait func() error, err error)
 
 // record converts a committed decision to its durable form. The caller
@@ -185,7 +186,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.decisions) != 0 || e.rngDraws != 0 || e.hasPending {
+	if len(e.decisions) != 0 || e.rngDraws != 0 {
 		return errors.New("core: RestoreState requires a fresh engine")
 	}
 	e.budget = st.Budget
@@ -250,36 +251,13 @@ func (e *Engine) ApplyDecision(r DecisionRecord) error {
 		return fmt.Errorf("core: replaying decision out of order: seq %d, want %d", r.Seq, want)
 	}
 	if e.policy == PolicyOSSP {
-		// The original commit consumed one draw to sample the signal. Going
-		// through peek/consume (rather than rng.Float64 directly) keeps a
-		// follower or restarted engine aligned even when the live engine is
-		// holding a buffered draw from a rolled-back commit.
-		e.peekDrawLocked()
-		e.consumeDrawLocked()
+		e.rng.Float64() // the draw the original commit sampled the signal with
+		e.rngDraws++
 	}
 	e.budget = math.Max(0, r.BudgetAfter)
 	e.decisions = append(e.decisions, r.restore())
 	e.met.budget.Set(e.budget)
 	return nil
-}
-
-// peekDrawLocked returns the next signal-sampling value without consuming
-// it: the first peek pulls from the RNG into a one-slot buffer, and repeated
-// peeks return the buffered value. Caller holds e.mu.
-func (e *Engine) peekDrawLocked() float64 {
-	if !e.hasPending {
-		e.pendingDraw = e.rng.Float64()
-		e.hasPending = true
-	}
-	return e.pendingDraw
-}
-
-// consumeDrawLocked commits the buffered draw: the value is spent and
-// rngDraws — the count snapshots export and recovery fast-forwards — moves
-// past it. Caller holds e.mu and must have peeked first.
-func (e *Engine) consumeDrawLocked() {
-	e.hasPending = false
-	e.rngDraws++
 }
 
 // RNGDraws returns how many signal-sampling draws the engine has consumed

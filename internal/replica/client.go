@@ -397,7 +397,10 @@ func (c *Client) readHeartbeat(br *bufio.Reader, mirror *wal.Mirror) error {
 	c.primaryRecords = int64(nrecs)
 	c.heartbeats++
 	var lag int64
-	if c.cur.Less(durable) {
+	// A follower holding no frames is behind only if the primary has any:
+	// an empty journal's durable cursor (its first segment's header) lies
+	// past the zero cursor with nothing to ship.
+	if c.cur.Less(durable) && (!c.cur.IsZero() || c.primaryRecords > 0) {
 		lag = c.primaryRecords - c.records
 		if lag < 1 {
 			lag = 1 // behind by cursor; the count basis is off by pruning

@@ -21,7 +21,8 @@ type Source interface {
 	// DurableRecords counts records at or before DurableCursor.
 	DurableRecords() int64
 	// Subscribe returns a channel that receives (coalesced) notifications
-	// whenever the durable cursor advances, plus a cancel func.
+	// whenever the durable cursor advances, plus a cancel func. The channel
+	// is closed when the source stops for good.
 	Subscribe() (<-chan struct{}, func())
 }
 
@@ -115,7 +116,13 @@ func ServeStream(w http.ResponseWriter, r *http.Request, cfg StreamConfig) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-sub:
+		case _, open := <-sub:
+			if !open {
+				// The journal closed (its tenant was unloaded): end the
+				// stream so the follower reconnects to the instance that
+				// reloads from the same directory.
+				return
+			}
 		case <-ticker.C:
 			// Heartbeats double as lease renewal: an idle-but-alive stream
 			// keeps its pin current at the position it would resume from.

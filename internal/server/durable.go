@@ -68,12 +68,7 @@ func (s *Server) tenantOnDisk(id string) bool {
 // the recovered state onto t. Called from buildTenant after the engine is
 // constructed but before the tenant serves its first request.
 func (s *Server) openTenantJournal(t *tenantState) error {
-	j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
-		Fsync:        s.cfg.Fsync,
-		SegmentBytes: s.cfg.SegmentBytes,
-		Metrics:      s.met.reg,
-		Labels:       []obs.Label{obs.L("tenant", t.id)},
-	})
+	j, rec, err := s.openJournal(t.id)
 	if err != nil {
 		return fmt.Errorf("server: opening journal for tenant %q: %w", t.id, err)
 	}
@@ -95,6 +90,21 @@ func (s *Server) openTenantJournal(t *tenantState) error {
 			t.id, len(rec.Snapshot), replayed, rec.Segments)
 	}
 	return nil
+}
+
+// openJournal opens (and recovers) tenant id's journal for appending, with
+// the server's journal fault hook installed.
+func (s *Server) openJournal(id string) (*wal.Journal, *wal.Recovery, error) {
+	j, rec, err := wal.Open(s.tenantWALDir(id), wal.Options{
+		Fsync:        s.cfg.Fsync,
+		SegmentBytes: s.cfg.SegmentBytes,
+		Metrics:      s.met.reg,
+		Labels:       []obs.Label{obs.L("tenant", id)},
+	})
+	if err == nil {
+		j.SetFault(s.fireJournalFault)
+	}
+	return j, rec, err
 }
 
 // replayTenant restores t from a journal recovery: first the snapshot (if
@@ -166,20 +176,10 @@ func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 		if err := t.engine.ApplyDecision(r.Decision); err != nil {
 			return err
 		}
-		t.accesses.Add(1)
-		t.alerts.Add(1)
-		if r.Decision.Warned {
-			t.warned.Add(1)
-		}
+		t.count(wal.Meta{Alerted: true, Warned: r.Decision.Warned})
 	case wal.KindMeta:
 		// One acknowledged request that bypassed the engine.
-		t.accesses.Add(1)
-		if r.Meta.Alerted {
-			t.alerts.Add(1)
-		}
-		if r.Meta.Warned {
-			t.warned.Add(1)
-		}
+		t.count(r.Meta)
 	case wal.KindQuit:
 		t.flaggedMu.Lock()
 		first := !t.flagged[r.Employee]
@@ -206,6 +206,17 @@ func (s *Server) applyRecord(t *tenantState, r wal.Record) error {
 		return fmt.Errorf("unknown journal record kind %v", r.Kind)
 	}
 	return nil
+}
+
+// count adds one access to t's per-cycle counters.
+func (t *tenantState) count(m wal.Meta) {
+	t.accesses.Add(1)
+	if m.Alerted {
+		t.alerts.Add(1)
+	}
+	if m.Warned {
+		t.warned.Add(1)
+	}
 }
 
 // noteAppend accounts one journaled record toward the automatic snapshot
@@ -237,29 +248,21 @@ func (s *Server) noteAppend(t *tenantState) {
 	}()
 }
 
-// journalRecord appends one record for an acknowledged request and waits
-// for it to reach the journal's durability level, answering the 500 itself
-// on failure. Handlers call it on every state-changing path that bypasses
-// the engine (the engine's own commits journal through the hook). Returns
-// false when the response has already been written.
-func (s *Server) journalRecord(w http.ResponseWriter, t *tenantState, r wal.Record) bool {
-	if t.journal == nil {
-		return true
+// commit journals one record for a request that bypasses the engine, waits
+// for its durability, and applies it with applyRecord — the state machine
+// recovery and followers run. An error leaves t to be unloaded.
+func (s *Server) commit(t *tenantState, r wal.Record) error {
+	if t.journal != nil {
+		wait, err := t.journal.Append(r)
+		if err == nil && wait != nil {
+			err = wait()
+		}
+		if err != nil {
+			return err
+		}
+		s.noteAppend(t)
 	}
-	err := s.fireJournalFault()
-	var wait func() error
-	if err == nil {
-		wait, err = t.journal.Append(r)
-	}
-	if err == nil && wait != nil {
-		err = wait()
-	}
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "journal: " + err.Error()})
-		return false
-	}
-	s.noteAppend(t)
-	return true
+	return s.applyRecord(t, r)
 }
 
 // retainTarget adapts one tenant to the retention compactor's Tenant view.

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/auditgames/sag/internal/obs"
 	"github.com/auditgames/sag/internal/replica"
 	"github.com/auditgames/sag/internal/shard"
 	"github.com/auditgames/sag/internal/wal"
@@ -320,12 +319,7 @@ func (s *Server) Promote() (int, error) {
 	n := 0
 	var firstErr error
 	for _, t := range tenants {
-		j, rec, err := wal.Open(s.tenantWALDir(t.id), wal.Options{
-			Fsync:        s.cfg.Fsync,
-			SegmentBytes: s.cfg.SegmentBytes,
-			Metrics:      s.met.reg,
-			Labels:       []obs.Label{obs.L("tenant", t.id)},
-		})
+		j, rec, err := s.openJournal(t.id)
 		if err == nil && int64(rec.Records) != t.repl.records {
 			_ = j.Close()
 			err = fmt.Errorf("journal holds %d records, %d were applied", rec.Records, t.repl.records)

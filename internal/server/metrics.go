@@ -38,6 +38,9 @@ const (
 	// MetricHTTPTenantRequestsTotal counts API requests by the tenant they
 	// resolved to (after validation, before the handler body).
 	MetricHTTPTenantRequestsTotal = "sag_http_tenant_requests_total"
+	// MetricJournalFailuresTotal counts tenant instances unloaded after a
+	// journal failure. Box-wide; each unload's log line names the tenant.
+	MetricJournalFailuresTotal = "sag_server_journal_failures_total"
 )
 
 // serverMetrics holds the server-wide pre-resolved instruments — the
@@ -46,10 +49,11 @@ const (
 // own when the caller supplied none) so that GET /v1/metrics is always
 // live. Per-tenant series live in tenantMetrics.
 type serverMetrics struct {
-	reg           *obs.Registry
-	lockWaitRead  *obs.Histogram
-	lockWaitWrite *obs.Histogram
-	inflight      *obs.Gauge
+	reg             *obs.Registry
+	lockWaitRead    *obs.Histogram
+	lockWaitWrite   *obs.Histogram
+	inflight        *obs.Gauge
+	journalFailures *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -62,6 +66,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		lockWaitRead:  reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "read")),
 		lockWaitWrite: reg.Histogram(MetricHTTPLockWaitSeconds, lockHelp, obs.DefTimeBuckets, obs.L("side", "write")),
 		inflight:      reg.Gauge(MetricHTTPInflightRequests, "Requests currently inside an instrumented handler."),
+		journalFailures: reg.Counter(MetricJournalFailuresTotal,
+			"Tenant instances unloaded after a journal write or fsync failed; the next request reloads each from disk."),
 	}
 }
 

@@ -175,6 +175,51 @@ func tenantSegRange(t *testing.T, dir string) (lo, hi int) {
 	return lo, hi
 }
 
+// TestFollowerReadyOverEmptyJournal: a standby over a primary tenant that
+// has never written a record has nothing to catch up on, so /v1/readyz
+// must answer 200 rather than report a lag of one forever.
+func TestFollowerReadyOverEmptyJournal(t *testing.T) {
+	_, prim, _, _ := replicaFixture(t, t.TempDir(), nil, nil)
+	_, fol := startFollower(t, t.TempDir(), prim.URL, nil, 0)
+	waitFollowerReady(t, fol)
+}
+
+// TestFollowerFollowsReloadedTenant: a journal failure unloads the
+// primary's tenant and closes its journal, which must end the replication
+// stream over it, so the standby reconnects to the reloaded instance and
+// keeps replicating what the primary acknowledges afterwards.
+func TestFollowerFollowsReloadedTenant(t *testing.T) {
+	primSrv, prim, bgE, bgP := replicaFixture(t, t.TempDir(), nil, nil)
+	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+		t.Fatalf("primary access status %d", code)
+	}
+	_, fol := startFollower(t, t.TempDir(), prim.URL, nil, 0)
+	waitFollowerReady(t, fol)
+
+	primSrv.SetJournalFault(wal.FaultSync, alwaysFail())
+	if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("faulted access status %d, want 500", code)
+	}
+	primSrv.SetJournalFault(wal.FaultSync, nil)
+	for i := 0; i < 3; i++ {
+		if code := post(t, prim, "/v1/access", AccessRequest{EmployeeID: bgE, PatientID: bgP}, nil); code != http.StatusOK {
+			t.Fatalf("access after the reload: status %d", code)
+		}
+	}
+	want := mustGetRaw(t, prim, "/v1/cycle/summary")
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		got := mustGetRaw(t, fol, "/v1/cycle/summary")
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up with the reloaded tenant:\nprimary: %s\nstandby: %s", want, got)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestFollowerCatchUpGateAndPromote is the in-process version of the failover
 // drill's happy path: a follower discovers the primary's tenant, catches up
 // to zero lag, rejects mutations with 503 + Retry-After while standing by,

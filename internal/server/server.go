@@ -277,10 +277,12 @@ type Server struct {
 	following atomic.Bool
 	follow    atomic.Pointer[followController] // set by StartFollowing
 
-	// journalFault, when set, is fired before every WAL append — the
-	// handlers' journalRecord and the engine's decision hook. Testing seam
-	// for the journal-failure consistency suite (SetJournalFault).
-	journalFault atomic.Pointer[faultinject.Point]
+	journalFault atomic.Pointer[journalFault] // see SetJournalFault
+}
+
+type journalFault struct {
+	op wal.FaultOp
+	p  *faultinject.Point
 }
 
 // New validates the configuration and builds the server. The default
@@ -437,9 +439,6 @@ func (s *Server) buildTenant(id string) (*core.Engine, any, error) {
 			j := t.journal
 			if j == nil {
 				return nil, errors.New("server: tenant journal not open (standby not promoted)")
-			}
-			if err := s.fireJournalFault(); err != nil {
-				return nil, err
 			}
 			wait, err := j.Append(wal.Record{Kind: wal.KindDecision, Decision: rec})
 			if err != nil {
@@ -846,17 +845,17 @@ func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, tenant str
 	return release, true
 }
 
-// SetJournalFault installs (or, with nil, removes) a fault-injection point
-// fired before every WAL append — both the handlers' journalRecord and the
-// engine's decision hook. It exists for the journal-failure consistency
-// suite, which proves a failed append leaves in-memory state identical to
-// a crash-recovery replay.
-func (s *Server) SetJournalFault(p *faultinject.Point) { s.journalFault.Store(p) }
+// SetJournalFault installs (or, with a nil p, removes) a fault point fired
+// before every segment write or fsync (op) of every tenant journal. It
+// exists for the journal-failure suite.
+func (s *Server) SetJournalFault(op wal.FaultOp, p *faultinject.Point) {
+	s.journalFault.Store(&journalFault{op: op, p: p})
+}
 
-// fireJournalFault triggers the installed fault point, if any.
-func (s *Server) fireJournalFault() error {
-	if p := s.journalFault.Load(); p != nil {
-		return p.Fire()
+// fireJournalFault is every tenant journal's fault hook.
+func (s *Server) fireJournalFault(op wal.FaultOp) error {
+	if f := s.journalFault.Load(); f != nil && f.op == op {
+		return f.p.Fire()
 	}
 	return nil
 }
@@ -960,6 +959,40 @@ func (s *Server) lockLifecycleW(t *tenantState) {
 	s.met.lockWaitWrite.ObserveSince(t0)
 }
 
+// mutate runs a mutation's body on tenant id under its lifecycle lock (the
+// write side when write is set). fn writes the response unless it returns
+// an error: a failed journal write or fsync, after which memory may hold
+// what the journal does not, so the lock is released and unloadFailed runs.
+func (s *Server) mutate(w http.ResponseWriter, id string, create, write bool, fn func(t *tenantState) error) {
+	t := s.resolveTenantLocked(w, id, create, write)
+	if t == nil {
+		return
+	}
+	unlock := t.lifecycle.RUnlock
+	if write {
+		unlock = t.lifecycle.Unlock
+	}
+	err := func() error {
+		defer unlock()
+		return fn(t)
+	}()
+	if err != nil {
+		s.unloadFailed(w, t, err)
+	}
+}
+
+// unloadFailed unloads a durable tenant instance through the eviction path
+// — whose snapshot fails on the poisoned journal, so nothing is persisted
+// from memory — and then answers 500; the next request rebuilds the tenant
+// from disk. An in-memory tenant has no disk to reload from and is kept.
+func (s *Server) unloadFailed(w http.ResponseWriter, t *tenantState, err error) {
+	if t.journal != nil && s.router.RemoveIf(t.id, t) {
+		s.met.journalFailures.Inc()
+		s.logf("server: tenant %s: journal failed, unloaded to reload from disk: %v", t.id, err)
+	}
+	writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+}
+
 func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfFollowing(w) {
 		return
@@ -984,118 +1017,77 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 	// Read side only: any number of access decisions overlap; the solve
 	// itself runs under the engine's optimistic-commit protocol, not under
 	// any server lock.
-	t := s.resolveTenantLocked(w, id, true, false)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.RUnlock()
-	if t.closed {
-		writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle is closed; POST /v1/cycle/new to start the next one"})
-		return
-	}
-	t.accesses.Add(1)
-	t.met.accesses.Inc()
-
-	now := s.cfg.Clock()
-	alert, fired, err := s.detector.Evaluate(emr.AccessEvent{
-		Time:       now,
-		EmployeeID: req.EmployeeID,
-		PatientID:  req.PatientID,
-	})
-	if err != nil {
-		// The access was counted before it turned out malformed; journal the
-		// bare access so a recovered tenant reproduces the same counters.
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta}) {
-			t.rollbackAccess(false, false)
-			return
+	s.mutate(w, id, true, false, func(t *tenantState) error {
+		if t.closed {
+			writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle is closed; POST /v1/cycle/new to start the next one"})
+			return nil
 		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	resp := AccessResponse{RemainingBudget: t.engine.RemainingBudget()}
-	if !fired {
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta}) {
-			t.rollbackAccess(false, false)
-			return
+		t.met.accesses.Inc()
+		now := s.cfg.Clock()
+		alert, fired, err := s.detector.Evaluate(emr.AccessEvent{
+			Time:       now,
+			EmployeeID: req.EmployeeID,
+			PatientID:  req.PatientID,
+		})
+		if err != nil {
+			// A malformed access still counts as one: journal the bare
+			// access so a recovered tenant reproduces the same counters.
+			if jerr := s.commit(t, wal.Record{Kind: wal.KindMeta}); jerr != nil {
+				return jerr
+			}
+			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+			return nil
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	t.alerts.Add(1)
-	t.met.alerts.Inc()
-	resp.Alert = true
-	resp.TypeID = alert.Type
-	resp.Rules = alert.Rules.String()
-
-	t.flaggedMu.RLock()
-	isFlagged := t.flagged[req.EmployeeID]
-	t.flaggedMu.RUnlock()
-	if isFlagged {
-		// Known quitter: always warn (and the access is investigated out
-		// of band — the paper notes this is cheap because quits are rare).
-		resp.Warn = true
-		resp.Flagged = true
-		t.warned.Add(1)
-		t.met.warned.Inc()
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true, Warned: true}}) {
-			t.rollbackAccess(true, true)
-			return
+		resp := AccessResponse{RemainingBudget: t.engine.RemainingBudget()}
+		idx, gamed := 0, false
+		if fired {
+			t.met.alerts.Inc()
+			resp.Alert = true
+			resp.TypeID = alert.Type
+			resp.Rules = alert.Rules.String()
+			t.flaggedMu.RLock()
+			resp.Flagged = t.flagged[req.EmployeeID]
+			t.flaggedMu.RUnlock()
+			idx, gamed = s.typeIdx[alert.Type]
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	idx, gamed := s.typeIdx[alert.Type]
-	if !gamed {
-		// Unmodeled type: logged, never warned (no payoff structure).
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: true}}) {
-			t.rollbackAccess(true, false)
-			return
+		if !gamed || resp.Flagged {
+			// No game to play: a benign access, an unmodeled alert type
+			// (logged, never warned: no payoff structure), or a known
+			// quitter, who is always warned (and investigated out of band —
+			// the paper notes this is cheap because quits are rare).
+			resp.Warn = resp.Flagged
+			if resp.Warn {
+				t.met.warned.Inc()
+			}
+			if err := s.commit(t, wal.Record{Kind: wal.KindMeta, Meta: wal.Meta{Alerted: fired, Warned: resp.Warn}}); err != nil {
+				return err
+			}
+			writeJSON(w, http.StatusOK, resp)
+			return nil
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	d, err := t.engine.ProcessContext(r.Context(), core.Alert{Type: idx, Time: now})
-	if err != nil {
-		// No decision committed (the engine rolls its own state back on a
-		// journaling failure), so the request is not acknowledged and the
-		// counters must forget it too.
-		t.rollbackAccess(true, false)
-		// ErrCycleRolledOver cannot fire while we hold the lifecycle read
-		// lock, but embedders drive the engine directly too — map it to the
-		// same conflict the closed-cycle guard answers.
+		d, err := t.engine.ProcessContext(r.Context(), core.Alert{Type: idx, Time: now})
 		if errors.Is(err, core.ErrCycleRolledOver) {
+			// Nothing committed. Cannot fire under the lifecycle read lock,
+			// but embedders drive the engine directly too.
 			writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
-			return
+			return nil
 		}
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	resp.Warn = d.Warned
-	resp.RemainingBudget = d.BudgetAfter
-	if d.Fallback.Degraded() {
-		resp.Fallback = d.Fallback.String()
-	}
-	if d.Warned {
-		t.warned.Add(1)
-		t.met.warned.Inc()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// rollbackAccess undoes the per-cycle counter increments of an access whose
-// journal record could not be written: the request was answered 5xx, not
-// acknowledged, so the atomics — which recovery rebuilds from the journal —
-// must not remember it. The cumulative t.met counters deliberately keep
-// counting attempts; only recovered state is rolled back.
-func (t *tenantState) rollbackAccess(alerted, warned bool) {
-	t.accesses.Add(-1)
-	if alerted {
-		t.alerts.Add(-1)
-	}
-	if warned {
-		t.warned.Add(-1)
-	}
+		if err != nil {
+			return err
+		}
+		// The engine journaled the decision; count it as applyRecord does.
+		t.count(wal.Meta{Alerted: true, Warned: d.Warned})
+		resp.Warn = d.Warned
+		resp.RemainingBudget = d.BudgetAfter
+		if d.Fallback.Degraded() {
+			resp.Fallback = d.Fallback.String()
+		}
+		if d.Warned {
+			t.met.warned.Inc()
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return nil
+	})
 }
 
 func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
@@ -1117,47 +1109,29 @@ func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
 	if release != nil {
 		defer release()
 	}
-	t := s.resolveTenantLocked(w, id, true, false)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.RUnlock()
-	if req.EmployeeID < 0 || req.EmployeeID >= len(s.cfg.World.Employees) {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("unknown employee %d", req.EmployeeID)})
-		return
-	}
-	// Idempotent: a quit reveals the requester once. Repeating the report
-	// re-confirms the flag but must not inflate the quit counter (or the
-	// flagged gauge) — front ends retry.
-	t.flaggedMu.Lock()
-	first := !t.flagged[req.EmployeeID]
-	if first {
-		t.flagged[req.EmployeeID] = true
-		t.met.flagged.Set(float64(len(t.flagged)))
-	}
-	t.flaggedMu.Unlock()
-	if first {
-		t.quits.Add(1)
-		t.met.quits.Inc()
-		// Only the first report changes state; repeats are idempotent on
-		// replay too (the flag check above) so they need no record.
-		if !s.journalRecord(w, t, wal.Record{Kind: wal.KindQuit, Employee: req.EmployeeID}) {
-			// The quit never became durable: the live server answered 500,
-			// so memory must forget the flag exactly as a crash-recovered
-			// replay would never learn it. (A concurrent access may have
-			// observed the flag in its transient window — the same exposure
-			// an acknowledged-then-crashed quit already has.)
-			t.flaggedMu.Lock()
-			delete(t.flagged, req.EmployeeID)
-			t.met.flagged.Set(float64(len(t.flagged)))
-			t.flaggedMu.Unlock()
-			t.quits.Add(-1)
-			return
+	s.mutate(w, id, true, false, func(t *tenantState) error {
+		if req.EmployeeID < 0 || req.EmployeeID >= len(s.cfg.World.Employees) {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("unknown employee %d", req.EmployeeID)})
+			return nil
 		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Flagged bool `json:"flagged"`
-	}{Flagged: true})
+		// Idempotent: a quit reveals the requester once. Repeats (front
+		// ends retry) need no record; two racing first reports both journal
+		// one, and applyRecord counts the second as a repeat, live and on
+		// replay alike.
+		t.flaggedMu.RLock()
+		flagged := t.flagged[req.EmployeeID]
+		t.flaggedMu.RUnlock()
+		if !flagged {
+			if err := s.commit(t, wal.Record{Kind: wal.KindQuit, Employee: req.EmployeeID}); err != nil {
+				return err
+			}
+			t.met.quits.Inc()
+		}
+		writeJSON(w, http.StatusOK, struct {
+			Flagged bool `json:"flagged"`
+		}{Flagged: true})
+		return nil
+	})
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -1177,26 +1151,23 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	// the cycle. A second close is a conflict — re-sampling would draw a
 	// fresh audit plan (and re-charge its total) for a cycle that already
 	// has one.
-	t := s.resolveTenantLocked(w, s.tenantID(r, req.Tenant), false, true)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.Unlock()
-	if t.closed {
-		writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle already closed; POST /v1/cycle/new to start the next one"})
-		return
-	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ t.accesses.Load()))
-	audits, total := t.engine.CloseCycle(rng)
-	t.closed = true
-	// Durable before acknowledged: if the record is lost to a crash the
-	// client never saw the plan, recovery reopens the cycle, and a retried
-	// close re-derives the identical plan (same access count → same seed).
-	if !s.journalRecord(w, t, wal.Record{Kind: wal.KindCycleClose}) {
-		t.closed = false
-		return
-	}
-	writeJSON(w, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total})
+	s.mutate(w, s.tenantID(r, req.Tenant), false, true, func(t *tenantState) error {
+		if t.closed {
+			writeJSON(w, http.StatusConflict, apiError{Error: "audit cycle already closed; POST /v1/cycle/new to start the next one"})
+			return nil
+		}
+		// Durable before acknowledged: if the record is lost to a crash the
+		// client never saw the plan, recovery reopens the cycle, and a
+		// retried close re-derives the identical plan (same access count →
+		// same seed).
+		if err := s.commit(t, wal.Record{Kind: wal.KindCycleClose}); err != nil {
+			return err
+		}
+		rng := rand.New(rand.NewSource(s.cfg.Seed ^ t.seedOffset ^ t.accesses.Load()))
+		audits, total := t.engine.CloseCycle(rng)
+		writeJSON(w, http.StatusOK, CloseResponse{Audits: audits, TotalCost: total})
+		return nil
+	})
 }
 
 func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
@@ -1207,41 +1178,22 @@ func (s *Server) handleNewCycle(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	t := s.resolveTenantLocked(w, s.tenantID(r, req.Tenant), true, true)
-	if t == nil {
-		return
-	}
-	defer t.lifecycle.Unlock()
-	if err := core.ValidateBudget(req.Budget); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	// Journal-first: unlike a close (whose pre-state is one boolean) the
-	// rollover has no cheap rollback — NewCycle discards the old cycle's
-	// decisions, fallback state, and cache. Making the record durable
-	// before mutating anything means a failed append leaves the old cycle
-	// fully intact, and with the budget pre-validated the engine call below
-	// cannot fail after the record is on disk.
-	if !s.journalRecord(w, t, wal.Record{Kind: wal.KindCycleOpen, Budget: req.Budget}) {
-		return
-	}
-	if err := t.engine.NewCycle(req.Budget); err != nil {
-		// Unreachable for a validated budget; if it ever fires the journal
-		// holds a cycle-open that memory does not, so say so loudly.
-		s.logf("server: tenant %s: cycle open journaled but engine rollover failed: %v", t.id, err)
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	// Reset every per-cycle counter. Flagged users deliberately survive the
-	// rollover: a quit reveals the requester for good (paper §4).
-	t.closed = false
-	t.accesses.Store(0)
-	t.alerts.Store(0)
-	t.warned.Store(0)
-	t.quits.Store(0)
-	writeJSON(w, http.StatusOK, struct {
-		Budget float64 `json:"budget"`
-	}{Budget: req.Budget})
+	s.mutate(w, s.tenantID(r, req.Tenant), true, true, func(t *tenantState) error {
+		if err := core.ValidateBudget(req.Budget); err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+			return nil
+		}
+		// applyRecord rolls the engine over and resets every per-cycle
+		// counter. Flagged users deliberately survive the rollover: a quit
+		// reveals the requester for good (paper §4).
+		if err := s.commit(t, wal.Record{Kind: wal.KindCycleOpen, Budget: req.Budget}); err != nil {
+			return err
+		}
+		writeJSON(w, http.StatusOK, struct {
+			Budget float64 `json:"budget"`
+		}{Budget: req.Budget})
+		return nil
+	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

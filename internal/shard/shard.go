@@ -250,13 +250,20 @@ func (r *Router) GetOrCreate(id string) (*Tenant, bool, error) {
 // the tenant ID via Config.Logf, and Config.OnEvict runs after the tenant
 // is unlinked (so the embedder can drain it, snapshot its state, and seal
 // its journal) but before Remove returns.
-func (r *Router) Remove(id string) bool {
+func (r *Router) Remove(id string) bool { return r.RemoveIf(id, nil) }
+
+// RemoveIf is Remove for one tenant instance: given non-nil data it evicts
+// id only while data is the resident tenant's Data, so a holder of a stale
+// instance never evicts the one rebuilt in its place.
+func (r *Router) RemoveIf(id string, data any) bool {
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
 	b := r.bucketFor(id)
 	b.mu.Lock()
 	t, ok := b.tenants[id]
-	delete(b.tenants, id)
+	if ok = ok && (data == nil || t.Data == data); ok {
+		delete(b.tenants, id)
+	}
 	b.mu.Unlock()
 	if !ok {
 		return false

@@ -233,6 +233,10 @@ func ValidateCursor(dir string, cur Cursor, lastCRC uint32) error {
 	path := filepath.Join(dir, segmentName(cur.Seg))
 	data, err := os.ReadFile(path)
 	if err != nil {
+		if os.IsNotExist(err) {
+			// Pruned between the listing above and the read.
+			return fmt.Errorf("%w: segment %d missing", ErrCursorGone, cur.Seg)
+		}
 		return fmt.Errorf("wal: reading segment: %w", err)
 	}
 	if err := checkHeader(path, data); err != nil {

@@ -117,7 +117,7 @@ func (m *Mirror) roll(seg int) error {
 		return err
 	}
 	m.f, m.seg, m.off, m.open, m.dirty = f, seg, headerSize, true, true
-	return syncDir(m.dir)
+	return syncPath(m.dir)
 }
 
 // Cursor returns the mirrored tail position (zero before the first frame).

@@ -96,7 +96,7 @@ func Recover(dir string) (*Recovery, error) {
 				return nil, fmt.Errorf("wal: removing post-corruption segment: %w", err)
 			}
 		}
-		if err := syncDir(dir); err != nil {
+		if err := syncPath(dir); err != nil {
 			return nil, err
 		}
 		break

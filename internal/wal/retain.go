@@ -192,7 +192,7 @@ func (j *Journal) Prune() (segs int, bytes int64, err error) {
 		j.mu.Unlock()
 		segs++
 	}
-	return segs, bytes, syncDir(j.dir)
+	return segs, bytes, syncPath(j.dir)
 }
 
 // initRetainLocked seeds the retention bookkeeping at Open time, before the

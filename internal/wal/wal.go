@@ -27,6 +27,8 @@
 // shared fsync covers their record — concurrent committers amortize one
 // fsync. FsyncInterval trades the tail of durability for throughput by
 // syncing on a timer; FsyncNone leaves persistence to the OS page cache.
+// Under every policy the first failed write or fsync poisons the journal
+// (see Journal): it must be reopened, recovering what reached disk.
 package wal
 
 import (
@@ -40,6 +42,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/auditgames/sag/internal/obs"
@@ -137,8 +140,24 @@ func (o *Options) fillDefaults() {
 // ErrClosed is returned by appends to a closed journal.
 var ErrClosed = errors.New("wal: journal is closed")
 
+// FaultOp names the segment operation a SetFault hook runs before.
+type FaultOp int
+
+const (
+	// FaultWrite is a flush of buffered frames into the active segment.
+	FaultWrite FaultOp = iota
+	// FaultSync is an fsync of the active segment.
+	FaultSync
+)
+
 // Journal appends records to a journal directory. All methods are safe for
-// concurrent use. Lock hierarchy: mu is a leaf — no callback runs under it.
+// concurrent use. Lock hierarchy: mu is a leaf — no callback but the
+// SetFault test hook runs under it.
+//
+// The first failed write, flush or fsync poisons the journal: the durable
+// cursor stays at the last good sync and every later Append, Snapshot and
+// Sync returns the stored error. No retry can prove what a failed fsync
+// left on disk; Close and Open again to recover what is really there.
 type Journal struct {
 	dir  string
 	opts Options
@@ -148,8 +167,8 @@ type Journal struct {
 	bw      *bufio.Writer
 	seq     int   // sequence number of the active segment
 	written int64 // bytes in the active segment
-	dirty   bool  // records buffered/written since the last fsync
 	closed  bool
+	err     error        // the poisoning failure; nil while healthy
 	pending []chan error // FsyncAlways waiters for the next sync
 	encBuf  []byte
 
@@ -167,6 +186,8 @@ type Journal struct {
 	leases      map[int]int
 	nextLeaseID int
 	pruneMu     sync.Mutex // serializes Prune (deletion + accounting)
+
+	fault atomic.Pointer[func(FaultOp) error] // see SetFault
 
 	syncReq chan struct{}
 	done    chan struct{}
@@ -207,17 +228,49 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	if err := j.initRetainLocked(); err != nil {
 		return nil, nil, err
 	}
+	// The last recovered frame's segment may hold bytes no fsync confirmed
+	// (a crashed or poisoned predecessor's tail): sync it before the durable
+	// cursor covers it. Older segments were sealed by a successful fsync.
+	if !rec.End.IsZero() {
+		t0 := time.Now()
+		if err := syncPath(filepath.Join(dir, segmentName(rec.End.Seg))); err != nil {
+			return nil, nil, fmt.Errorf("wal: syncing recovered tail: %w", err)
+		}
+		j.fsyncSec.ObserveSince(t0)
+	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, err
 	}
-	// Everything recovered is already on disk, and the fresh segment's
-	// header was flushed by openSegmentLocked, so readers (replication
-	// streams) may start from the very first retained frame.
+	// Everything recovered is now durable, and the fresh segment's header
+	// was flushed by openSegmentLocked, so readers (replication streams)
+	// may start from the very first retained frame.
 	j.durable = Cursor{Seg: j.seq, Off: headerSize}
 	j.durableRecords = j.records
 	j.wg.Add(1)
 	go j.syncer()
 	return j, rec, nil
+}
+
+// SetFault installs (nil removes) a test hook run before every flush into
+// and fsync of the active segment; a non-nil return fails that operation
+// as a failing disk would, poisoning the journal.
+func (j *Journal) SetFault(fn func(FaultOp) error) { j.fault.Store(&fn) }
+
+// injected runs the fault hook, if any, for op.
+func (j *Journal) injected(op FaultOp) error {
+	if fn := j.fault.Load(); fn != nil && *fn != nil {
+		return (*fn)(op)
+	}
+	return nil
+}
+
+// failLocked poisons the journal with its first failure and returns the
+// stored error. The caller holds mu.
+func (j *Journal) failLocked(err error) error {
+	if j.err == nil {
+		j.err = fmt.Errorf("wal: journal failed, reopen to recover: %w", err)
+	}
+	return j.err
 }
 
 // Dir returns the journal directory.
@@ -265,39 +318,38 @@ func (j *Journal) openSegmentLocked() error {
 	}
 	j.f = f
 	j.bw = bufio.NewWriterSize(f, 1<<16)
-	if _, err := j.bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := j.bw.WriteByte(version); err != nil {
-		return err
-	}
+	j.written = headerSize
 	// Flush the header so the file is immediately parsable by direct
 	// readers (cursor validation, replication streams); the fsync that
-	// makes it durable rides on the next group commit.
+	// makes it durable rides on the next group commit. The header fits the
+	// fresh buffer, so only the Flush can fail.
+	_, _ = j.bw.WriteString(magic)
+	_ = j.bw.WriteByte(version)
 	if err := j.bw.Flush(); err != nil {
 		return err
 	}
-	j.written = headerSize
-	j.dirty = true
-	return syncDir(j.dir)
+	return syncPath(j.dir)
 }
 
-// syncDir fsyncs a directory so freshly created/removed files survive a
-// crash of the file system metadata. Failures are reported, not fatal —
-// some file systems refuse directory fsync.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
+// syncPath fsyncs the file or directory at path. Syncing the journal
+// directory makes segment creation and removal survive a crash.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err == nil {
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	defer d.Close()
-	_ = d.Sync()
+	if err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
 	return nil
 }
 
-// rollLocked seals the active segment — flush, fsync, close, releasing any
-// group-commit waiters (their records are in the sealed file) — and opens
-// the next one. The caller holds mu.
+// rollLocked seals the active segment, releasing any group-commit waiters
+// (their records are in the sealed file), and opens the next one. The
+// caller holds mu.
 func (j *Journal) rollLocked() error {
 	waiters := j.pending
 	j.pending = nil
@@ -308,27 +360,70 @@ func (j *Journal) rollLocked() error {
 	if err != nil {
 		return err
 	}
-	if j.sealedBytes == nil {
-		j.sealedBytes = make(map[int]int64)
-	}
 	j.sealedBytes[j.seq] = j.written
 	j.seq++
-	return j.openSegmentLocked()
+	if err := j.openSegmentLocked(); err != nil {
+		return j.failLocked(err)
+	}
+	return nil
 }
 
-// sealLocked flushes, fsyncs, and closes the active segment.
+// sealLocked fsyncs and closes the active segment, holding mu throughout so
+// no frame lands in the buffer of a closing file.
 func (j *Journal) sealLocked() error {
-	if err := j.bw.Flush(); err != nil {
+	if err := j.syncLocked(true, true); err != nil {
 		return err
 	}
-	t0 := time.Now()
-	if err := j.f.Sync(); err != nil {
-		return err
+	if err := j.f.Close(); err != nil {
+		return j.failLocked(err)
 	}
-	j.fsyncSec.ObserveSince(t0)
-	j.dirty = false
-	j.advanceDurableLocked(Cursor{Seg: j.seq, Off: j.written}, j.records)
-	return j.f.Close()
+	return nil
+}
+
+// syncLocked flushes, fsyncs when fsync is set (with mu released unless
+// hold is, so appends keep flowing), and advances the durable cursor over
+// the flushed bytes. Any failure poisons the journal. The caller holds mu.
+func (j *Journal) syncLocked(fsync, hold bool) error {
+	if j.err != nil {
+		return j.err
+	}
+	if j.closed {
+		return ErrClosed
+	}
+	err := j.injected(FaultWrite)
+	if err == nil {
+		err = j.bw.Flush()
+	}
+	if err != nil {
+		return j.failLocked(err)
+	}
+	f := j.f
+	end := Cursor{Seg: j.seq, Off: j.written}
+	nrecs := j.records
+	if fsync {
+		if !hold {
+			j.mu.Unlock()
+		}
+		t0 := time.Now()
+		err = j.injected(FaultSync)
+		if err == nil {
+			err = f.Sync()
+		}
+		j.fsyncSec.ObserveSince(t0)
+		if !hold {
+			j.mu.Lock()
+		}
+		// A seal while mu was released closes f under us, after fsyncing
+		// everything this flush wrote (or poisoning the journal).
+		if err != nil && !errors.Is(err, os.ErrClosed) {
+			return j.failLocked(err)
+		}
+		if j.err != nil {
+			return j.err
+		}
+	}
+	j.advanceDurableLocked(end, nrecs)
+	return nil
 }
 
 // advanceDurableLocked moves the durable cursor forward (never backward —
@@ -369,13 +464,18 @@ func (j *Journal) DurableRecords() int64 {
 
 // Subscribe returns a channel that receives a (coalesced) signal whenever
 // the durable cursor advances, plus a cancel function releasing the
-// subscription. Replication streams park on it instead of polling.
+// subscription. Replication streams park on it instead of polling. The
+// channel is closed when the journal closes.
 func (j *Journal) Subscribe() (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
 	j.mu.Lock()
 	id := j.nextSubID
 	j.nextSubID++
-	j.subs[id] = ch
+	if j.closed {
+		close(ch)
+	} else {
+		j.subs[id] = ch
+	}
 	j.mu.Unlock()
 	return ch, func() {
 		j.mu.Lock()
@@ -387,6 +487,9 @@ func (j *Journal) Subscribe() (<-chan struct{}, func()) {
 // appendLocked frames and writes one record payload into the active
 // segment, rolling first if the segment is full. The caller holds mu.
 func (j *Journal) appendLocked(r Record) error {
+	if j.err != nil {
+		return j.err
+	}
 	if j.closed {
 		return ErrClosed
 	}
@@ -402,19 +505,19 @@ func (j *Journal) appendLocked(r Record) error {
 	j.encBuf = payload[:0]
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := j.bw.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	if _, err := j.bw.Write(payload); err != nil {
-		return err
-	}
 	var crcBuf [4]byte
 	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
-	if _, err := j.bw.Write(crcBuf[:]); err != nil {
-		return err
+	_, err = j.bw.Write(lenBuf[:n])
+	if err == nil {
+		_, err = j.bw.Write(payload)
+	}
+	if err == nil {
+		_, err = j.bw.Write(crcBuf[:])
+	}
+	if err != nil {
+		return j.failLocked(err)
 	}
 	j.written += int64(n + len(payload) + 4)
-	j.dirty = true
 	j.records++
 	j.appends.Inc()
 	return nil
@@ -480,38 +583,19 @@ func (j *Journal) syncer() {
 	}
 }
 
-// syncOnce performs one group commit: flush under mu, fsync outside it so
-// new appends keep flowing, then release the batch's waiters.
+// syncOnce performs one group commit, when anything was written past the
+// durable cursor or anyone waits, and releases the batch's waiters. A
+// failed tick nobody waits on still poisons the journal for the next
+// Append.
 func (j *Journal) syncOnce() {
 	j.mu.Lock()
-	if j.closed || !j.dirty {
-		waiters := j.pending
-		j.pending = nil
-		j.mu.Unlock()
-		for _, ch := range waiters {
-			ch <- nil
-		}
-		return
-	}
 	waiters := j.pending
 	j.pending = nil
-	err := j.bw.Flush()
-	f := j.f
-	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
+	var err error
+	if len(waiters) > 0 || j.durable.Less(Cursor{Seg: j.seq, Off: j.written}) {
+		err = j.syncLocked(j.opts.Fsync != FsyncNone, false)
+	}
 	j.mu.Unlock()
-
-	if err == nil && j.opts.Fsync != FsyncNone {
-		t0 := time.Now()
-		err = f.Sync()
-		j.fsyncSec.ObserveSince(t0)
-	}
-	if err == nil {
-		j.mu.Lock()
-		j.advanceDurableLocked(end, nrecs)
-		j.mu.Unlock()
-	}
 	for _, ch := range waiters {
 		ch <- err
 	}
@@ -523,33 +607,20 @@ func (j *Journal) syncOnce() {
 // restore from this snapshot (plus any records appended after it).
 func (j *Journal) Snapshot(blob []byte) error {
 	j.mu.Lock()
-	if err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob}); err != nil {
-		j.mu.Unlock()
-		return err
-	}
+	err := j.appendLocked(Record{Kind: KindSnapshot, Snapshot: blob})
 	// The segment that holds the snapshot: everything strictly older is
 	// re-derivable from it and safe to delete once the snapshot is synced.
 	snapSeg := j.seq
-	err := j.bw.Flush()
-	f := j.f
-	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
+	if err == nil {
+		err = j.syncLocked(true, false)
+	}
+	if err == nil && snapSeg > j.snapSeg {
+		j.snapSeg = snapSeg
+	}
 	j.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	j.fsyncSec.ObserveSince(t0)
-	j.mu.Lock()
-	j.advanceDurableLocked(end, nrecs)
-	if snapSeg > j.snapSeg {
-		j.snapSeg = snapSeg
-	}
-	j.mu.Unlock()
 	j.snapBytes.Set(float64(len(blob)))
 	// Prune what the snapshot superseded — clamped at the lease floor, so a
 	// replication stream still reading old segments is never cut off (see
@@ -562,47 +633,35 @@ func (j *Journal) Snapshot(blob []byte) error {
 // explicit flush points under the interval/none policies).
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	err := j.bw.Flush()
-	f := j.f
-	end := Cursor{Seg: j.seq, Off: j.written}
-	nrecs := j.records
-	j.dirty = false
-	j.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.advanceDurableLocked(end, nrecs)
-	j.mu.Unlock()
-	return nil
+	defer j.mu.Unlock()
+	return j.syncLocked(true, false)
 }
 
-// Close seals the active segment and stops the syncer. Further appends
-// return ErrClosed. Close is idempotent.
+// Close seals the active segment, stops the syncer, and closes every
+// subscription channel. A poisoned journal is closed without a flush and
+// returns the stored error. Further appends return ErrClosed. Close is
+// idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return nil
 	}
-	j.closed = true
 	waiters := j.pending
 	j.pending = nil
 	err := j.sealLocked()
+	if j.err != nil {
+		_ = j.f.Close()
+	}
+	j.closed = true
 	// The sealed active segment stays on disk: fold it into the sealed-byte
 	// accounting so RetainStats keeps describing the directory truthfully.
-	if j.sealedBytes == nil {
-		j.sealedBytes = make(map[int]int64)
-	}
 	j.sealedBytes[j.seq] = j.written
 	j.written = 0
+	for id, ch := range j.subs {
+		close(ch)
+		delete(j.subs, id)
+	}
 	j.mu.Unlock()
 	for _, ch := range waiters {
 		ch <- err
